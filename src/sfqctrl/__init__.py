@@ -1,6 +1,6 @@
 """Binary SFQ pulse-sequence synthesis for high-fidelity single-qubit gates."""
 
-from .adjoint import fused_sweep, grad_infidelity, grad_leakage, grad_total
+from .adjoint import fused_sweep, grad_total
 from .driver import (
     ExperimentSpec,
     gate_target,
@@ -69,8 +69,6 @@ __all__ = [
     "build_drift_hamiltonian",
     "fused_sweep",
     "gate_target",
-    "grad_infidelity",
-    "grad_leakage",
     "grad_total",
     "guard_weight_vector",
     "infidelity",

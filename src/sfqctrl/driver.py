@@ -208,14 +208,13 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def population_rows(alpha: PulseSequence, props, cfg: SystemConfig) -> tuple[list[str], list[list]]:
+def population_rows(traj: ForwardTrajectory, cfg: SystemConfig) -> tuple[list[str], list[list]]:
     """Level populations |U_j[b, a]|^2 at each step boundary, one row per time."""
-    traj = propagate(alpha, props, store_all=True)
     n, e = cfg.n_levels, cfg.n_essential
     header = ["time_ns"] + [f"pop_{a}_{b}" for a in range(e) for b in range(n)]
     pops = np.abs(traj.snapshots) ** 2
     rows = []
-    for j in range(len(alpha) + 1):
+    for j in range(traj.p + 1):
         row: list = [float(j * cfg.tau_p)]
         for a in range(e):
             row.extend(float(pops[j, b, a]) for b in range(n))
@@ -223,9 +222,8 @@ def population_rows(alpha: PulseSequence, props, cfg: SystemConfig) -> tuple[lis
     return header, rows
 
 
-def max_top_level_population(alpha: PulseSequence, props, cfg: SystemConfig) -> float:
+def max_top_level_population(traj: ForwardTrajectory, cfg: SystemConfig) -> float:
     """Largest population of the highest retained level over the trajectory."""
-    traj = propagate(alpha, props, store_all=True)
     pops = np.abs(traj.snapshots[:, cfg.n_levels - 1, : cfg.n_essential]) ** 2
     return float(pops.max())
 
@@ -272,7 +270,8 @@ def run_optimize(spec: ExperimentSpec, props=None) -> OptimizeResult:
     }
     files["pulse_sequence"].write_text(result.best_alpha.to_string() + "\n")
 
-    header, rows = population_rows(result.best_alpha, props, spec.system)
+    traj = propagate(result.best_alpha, props, store_all=True)
+    header, rows = population_rows(traj, spec.system)
     _write_csv(files["populations"], header, rows)
 
     conv_rows = [
@@ -281,7 +280,7 @@ def run_optimize(spec: ExperimentSpec, props=None) -> OptimizeResult:
     ]
     _write_csv(files["convergence"], ["iter", "J", "J1", "J2", "Delta", "rho", "accepted"], conv_rows)
 
-    top_pop = max_top_level_population(result.best_alpha, props, spec.system)
+    top_pop = max_top_level_population(traj, spec.system)
     summary = (
         f"gate={spec.gate} p={spec.p} T_ns={spec.duration_ns:.6g} "
         f"theta_over_pi={spec.system.theta / np.pi:.8g} restarts={spec.n_restarts} seed={spec.seed} "
@@ -447,9 +446,9 @@ def run_simulate(spec: ExperimentSpec, barcode_path: str | Path, props=None) -> 
     out = Path(spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     files = {"populations": out / "populations.csv", "summary": out / "summary.txt"}
-    header, rows = population_rows(alpha, props, spec.system)
+    header, rows = population_rows(traj, spec.system)
     _write_csv(files["populations"], header, rows)
-    top_pop = max_top_level_population(alpha, props, spec.system)
+    top_pop = max_top_level_population(traj, spec.system)
     summary = (
         f"gate={spec.gate} p={len(alpha)} T_ns={len(alpha) * spec.system.tau_p:.6g} "
         f"J={j1 + spec.system.c1 * j2:.12e} J1={j1:.12e} J2={j2:.12e} "

@@ -101,25 +101,42 @@ class ForwardTrajectory:
 
 
 def propagate(alpha: PulseSequence, props: PropagatorSet, store_all: bool = True) -> ForwardTrajectory:
-    """Multiply out U_j = D_{a_j} ... D_{a_1}; U_0 = I.
+    """Multiply out U_j = D_{a_j} ... D_{a_1}; U_0 = I, as a sqrt(p)-blocked prefix product.
 
-    With store_all the full stack U_0..U_p is kept for leakage and gradient
-    evaluation; otherwise only U_p is retained.  Both paths perform the same
-    multiplications in the same order, so the finals agree bit-exactly.
+    The word is cut into m chunks of L ~ sqrt(p) steps, the last one padded.
+    The chunks advance in lockstep, one batched product per position; a
+    short pass of m products forms the chunk prefixes; one batched fix-up
+    multiplies every chunk by its prefix.  That is O(p) work in O(sqrt(p))
+    numpy calls.  With store_all the full stack U_0..U_p is
+    kept for leakage and gradient evaluation; otherwise only U_p is retained.
+    Both paths perform the same products, so the finals agree bit-exactly.
     """
-    dim = props.dim
-    u = np.eye(dim, dtype=complex)
-    snaps = None
-    if store_all:
-        snaps = np.empty((len(alpha) + 1, dim, dim), dtype=complex)
-        snaps[0] = u
-    for j, bit in enumerate(alpha.bits):
-        u = (props.d1 if bit else props.d0) @ u
-        if store_all:
-            snaps[j + 1] = u
-    if snaps is not None:
-        snaps.setflags(write=False)
-    return ForwardTrajectory(final=u, snapshots=snaps)
+    p, dim = len(alpha), props.dim
+    size = round(p**0.5)
+    chunks = -(-p // size)
+    # Padding bits past p only feed rows that are cut off at the end.
+    bits = np.zeros(chunks * size, dtype=bool)
+    bits[:p] = alpha.bits
+    local = np.where(bits[:, None, None], props.d1, props.d0).reshape(chunks, size, dim, dim)
+    for i in range(1, size):
+        np.matmul(local[:, i], local[:, i - 1], out=local[:, i])
+    prefix = [np.eye(dim)]
+    for total in local[:-1, -1]:
+        prefix.append(total @ prefix[-1])
+    # Stacking the rows of a chunk makes its fix-up a single (size*dim x dim) product.
+    snaps = np.empty((chunks * size + 1, dim, dim), dtype=complex)
+    snaps[0] = np.eye(dim)
+    np.matmul(
+        local.reshape(chunks, size * dim, dim),
+        np.array(prefix),
+        out=snaps[1:].reshape(chunks, size * dim, dim),
+    )
+    snaps = snaps[: p + 1]
+    final = snaps[p].copy()
+    if not store_all:
+        return ForwardTrajectory(final=final)
+    snaps.setflags(write=False)
+    return ForwardTrajectory(final=final, snapshots=snaps)
 
 
 def overlap(final: np.ndarray, target: GateTarget) -> complex:

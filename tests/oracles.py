@@ -1,18 +1,18 @@
 """Independent oracles used by the test suite.
 
-These deliberately avoid the adjoint recursions and the production chain
-evaluation: objectives are recomputed from their defining formulas with plain
-matrix products, gradients by central finite differences through integrator
-evaluations at perturbed amplitudes, and the knapsack sub-problem by full
-Hamming-ball enumeration.
+These deliberately avoid the production chain evaluation and gradient kernel:
+objectives are recomputed from their defining formulas with plain matrix
+products, gradients by central finite differences through integrator
+evaluations at perturbed amplitudes or by the step-by-step backward adjoint
+recursion, and the knapsack sub-problem by full Hamming-ball enumeration.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from sfqctrl.model import SystemConfig, _integrate_amplitude
-from sfqctrl.objective import GateTarget
+from sfqctrl.model import PropagatorSet, SystemConfig, _integrate_amplitude
+from sfqctrl.objective import ForwardTrajectory, GateTarget, PulseSequence
 
 
 def chain_snapshots(step_matrices: list[np.ndarray]) -> np.ndarray:
@@ -22,6 +22,47 @@ def chain_snapshots(step_matrices: list[np.ndarray]) -> np.ndarray:
     for m in step_matrices:
         snaps.append(m @ snaps[-1])
     return np.array(snaps)
+
+
+def adjoint_recursion(
+    traj: ForwardTrajectory,
+    alpha: PulseSequence,
+    props: PropagatorSet,
+    target: GateTarget,
+    weights: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(dJ1/da, dJ2/da) by one backward pass over both adjoints, one step per bit.
+
+    With A_k = D_{a_k} and B_k = dD/dalpha at the bit's value:
+
+        Lam_p = V,                Lam_{k-1} = A_k' Lam_k,
+        dJ1/da_k = -(2/E^2) Re( conj(S_T) <B_k U_{k-1} P, Lam_k P>_F ),
+
+        Lt_p = 1/2 W U_p P,       Lt_{k-1} = W U_{k-1} P + A_k' Lt_k,
+        dJ2/da_k = (2/p) Re <B_k U_{k-1} P, Lt_k>_F.
+
+    Needs no unitarity of A_k, unlike the closed forms of the production kernel.
+    """
+    snaps = traj.snapshots
+    e = target.n_essential
+    w = np.asarray(weights, dtype=float)[:, None]
+    s_conj = np.conj(np.vdot(traj.final[:, :e], target.embedded[:, :e]))
+    adj = (props.d0.conj().T, props.d1.conj().T)
+    sens = (props.b0, props.b1)
+    p = len(alpha)
+    g1 = np.empty(p)
+    g2 = np.empty(p)
+    lam = target.embedded
+    lam_t = 0.5 * w * snaps[p][:, :e]
+    for k in range(p, 0, -1):
+        bit = alpha.bits[k - 1]
+        bu = sens[bit] @ snaps[k - 1][:, :e]
+        g1[k - 1] = (-2.0 / (e * e)) * np.real(s_conj * np.vdot(bu, lam[:, :e]))
+        g2[k - 1] = (2.0 / p) * np.real(np.vdot(bu, lam_t))
+        if k > 1:
+            lam = adj[bit] @ lam
+            lam_t = w * snaps[k - 1][:, :e] + adj[bit] @ lam_t
+    return g1, g2
 
 
 def infidelity_formula(final: np.ndarray, target: GateTarget) -> float:

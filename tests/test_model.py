@@ -150,14 +150,19 @@ class TestPropagators:
 
     def test_divergence_check(self, monkeypatch):
         cfg = SystemConfig(substeps=50)
-        bad = np.eye(cfg.n_levels, dtype=complex) * 1.5
+        eye = np.eye(cfg.n_levels, dtype=complex)
+        # A grossly non-unitary D1, and a near-unitary one whose defect
+        # (~1e-10), amplified p-fold, would show in the closed-form gradient.
+        near = eye * (1.0 + 2.5e-11)
+        assert 5e-11 < unitarity_defect(near) < 2e-10
+        for bad in (eye * 1.5, near):
 
-        def fake(cfg_, alpha, substeps=None, with_sensitivity=False):
-            return bad, np.zeros_like(bad)
+            def fake(cfg_, alpha, substeps=None, with_sensitivity=False):
+                return bad, np.zeros_like(bad)
 
-        monkeypatch.setattr("sfqctrl.model._integrate_amplitude", fake)
-        with pytest.raises(IntegratorDivergence):
-            precompute_propagators(cfg)
+            monkeypatch.setattr("sfqctrl.model._integrate_amplitude", fake)
+            with pytest.raises(IntegratorDivergence):
+                precompute_propagators(cfg)
 
 
 class TestRelaxedPropagator:

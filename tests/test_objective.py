@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import chain_snapshots
 from sfqctrl.errors import NonUnitaryTarget, ValidationError
 from sfqctrl.model import SystemConfig, drift_levels, precompute_propagators
 from sfqctrl.objective import (
@@ -18,6 +19,8 @@ from sfqctrl.objective import (
 
 H_GATE = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 X_GATE = np.array([[0.0, 1.0], [1.0, 0.0]])
+# Word lengths at the edges of the sqrt(p) blocking: one step, perfect squares and their neighbours.
+BLOCK_EDGE_LENGTHS = sorted({1, 2, 200} | {n * n + d for n in range(2, 15) for d in (-1, 0, 1)})
 
 
 class TestPulseSequence:
@@ -79,6 +82,19 @@ class TestPropagate:
         last_only = propagate(seq, fast_props, store_all=False)
         assert last_only.snapshots is None
         np.testing.assert_array_equal(full.snapshots[-1], last_only.final)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(st.sampled_from(BLOCK_EDGE_LENGTHS), st.integers(1, 200)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_blocked_product_matches_sequential(self, fast_props, length, seed):
+        bits = np.random.default_rng(seed).integers(0, 2, size=length)
+        traj = propagate(PulseSequence(bits), fast_props)
+        expected = chain_snapshots([fast_props.d1 if b else fast_props.d0 for b in bits])
+        assert traj.snapshots.shape == expected.shape
+        assert np.abs(traj.snapshots - expected).max() <= 1e-13
+        np.testing.assert_array_equal(traj.final, traj.snapshots[-1])
 
     @settings(max_examples=20, deadline=None)
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=40))

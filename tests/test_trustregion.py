@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import enumerate_ball_minimum, lattice_gradient
+from oracles import adjoint_recursion, enumerate_ball_minimum, lattice_gradient
 from sfqctrl.model import SystemConfig, precompute_propagators
 from sfqctrl.objective import GateTarget, PulseSequence
 from sfqctrl.trustregion import (
@@ -197,6 +197,20 @@ class TestOptimize:
                 gains = np.where(alpha.bits == 0, g, -g)
                 assert gains.min() >= 0.0
         assert TerminationReason.NO_IMPROVING_FLIP in reasons
+
+    def test_reference_recursion_takes_the_same_steps(self, fast_cfg, fast_props, monkeypatch):
+        # The closed-form gradient kernel and the step-by-step adjoint
+        # recursion differ only in roundoff, which must not change a decision.
+        target = GateTarget.from_essential(H_GATE, 4)
+        alpha0 = PulseSequence.random(64, np.random.default_rng(64))
+        alpha, trace = optimize(alpha0, fast_props, target, fast_cfg)
+        monkeypatch.setattr("sfqctrl.trustregion.fused_sweep", adjoint_recursion)
+        ref_alpha, ref_trace = optimize(alpha0, fast_props, target, fast_cfg)
+        assert len(trace.records) > 2
+        assert alpha.to_string() == ref_alpha.to_string()
+        assert [(r.accepted, r.hamming_step) for r in trace.records] == [
+            (r.accepted, r.hamming_step) for r in ref_trace.records
+        ]
 
 
 class TestMultiRestart:
