@@ -1,6 +1,5 @@
 """Binary SFQ pulse-sequence synthesis for high-fidelity single-qubit gates."""
 
-from .adjoint import fused_sweep, grad_total
 from .driver import (
     ExperimentSpec,
     gate_target,
@@ -10,84 +9,28 @@ from .driver import (
     run_simulate,
     run_sweep,
 )
-from .errors import (
-    DomainError,
-    IntegratorDivergence,
-    MissingSnapshots,
-    NonUnitaryTarget,
-    ParseError,
-    ValidationError,
-)
-from .model import (
-    PropagatorSet,
-    SystemConfig,
-    build_drift_hamiltonian,
-    lowering_operator,
-    precompute_propagators,
-    pulse_shape,
-    relaxed_propagator,
-    unitarity_defect,
-)
-from .objective import (
-    ForwardTrajectory,
-    GateTarget,
-    PulseSequence,
-    guard_weight_vector,
-    infidelity,
-    leakage,
-    propagate,
-    total_objective,
-)
-from .trustregion import (
-    ObjectiveEvaluator,
-    OptimizationTrace,
-    TerminationReason,
-    TrustRegionState,
-    multi_restart,
-    optimize,
-    solve_subproblem,
-    tr_step,
-)
+from .errors import IntegratorDivergence, NonUnitaryTarget, ParseError, ValidationError
+from .model import SystemConfig, precompute_propagators, unitarity_defect
+from .objective import PulseSequence
+from .trustregion import ObjectiveEvaluator, multi_restart
 
 __all__ = [
-    "DomainError",
     "ExperimentSpec",
-    "ForwardTrajectory",
-    "GateTarget",
     "IntegratorDivergence",
-    "MissingSnapshots",
     "NonUnitaryTarget",
     "ObjectiveEvaluator",
-    "OptimizationTrace",
     "ParseError",
-    "PropagatorSet",
     "PulseSequence",
     "SystemConfig",
-    "TerminationReason",
-    "TrustRegionState",
     "ValidationError",
-    "build_drift_hamiltonian",
-    "fused_sweep",
     "gate_target",
-    "grad_total",
-    "guard_weight_vector",
-    "infidelity",
-    "leakage",
     "load_config",
-    "lowering_operator",
     "multi_restart",
-    "optimize",
     "precompute_propagators",
-    "propagate",
-    "pulse_shape",
-    "relaxed_propagator",
     "run_grad_check",
     "run_optimize",
     "run_simulate",
     "run_sweep",
-    "solve_subproblem",
-    "total_objective",
-    "tr_step",
     "unitarity_defect",
 ]
 

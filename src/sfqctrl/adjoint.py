@@ -34,27 +34,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import MissingSnapshots
-from .model import PropagatorSet, SystemConfig
+from .model import PropagatorSet
 from .objective import (
     ForwardTrajectory,
     GateTarget,
     PulseSequence,
-    guard_weight_vector,
     overlap,
-    propagate,
 )
-
-
-def _require_snapshots(traj: ForwardTrajectory) -> np.ndarray:
-    if traj.snapshots is None:
-        raise MissingSnapshots("gradient sweeps need a trajectory propagated with store_all")
-    return traj.snapshots
-
-
-def _weight_diagonal(weights: np.ndarray) -> np.ndarray:
-    w = np.asarray(weights, dtype=float)
-    return np.diag(w).copy() if w.ndim == 2 else w
 
 
 def fused_sweep(
@@ -65,12 +51,10 @@ def fused_sweep(
     weights: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Both gradient terms from the stored snapshots; returns (dJ1/da, dJ2/da)."""
-    snaps = _require_snapshots(traj)
     e, p = target.n_essential, len(alpha)
-    w = _weight_diagonal(weights)
     # Level-major copy u[n, i, k] = (U_k)[n, i], so that every contraction
     # below runs along the contiguous time axis k.
-    u = np.ascontiguousarray(snaps.transpose(1, 2, 0))
+    u = np.ascontiguousarray(traj.snapshots.transpose(1, 2, 0))
     # Z_k = U_{k-1}' G_k U_{k-1} P, where G_k = A_k' B_k is one of two matrices.
     g_step = np.where(
         alpha.bits,
@@ -80,7 +64,7 @@ def fused_sweep(
     gu = np.einsum("ijk,jek->iek", g_step, u[:, :e, :-1])
     z_h = np.einsum("nik,nek->iek", u[:, :, :-1], gu.conj())
     # R_k = sum_{j>=k} c_j U_j' W U_j P, a reversed cumulative sum over j.
-    q = np.einsum("n,nik,nek->iek", w, u[:, :, 1:].conj(), u[:, :e, 1:])
+    q = np.einsum("n,nik,nek->iek", weights, u[:, :, 1:].conj(), u[:, :e, 1:])
     q[:, :, -1] *= 0.5
     r = np.cumsum(q[:, :, ::-1], axis=-1)[:, :, ::-1]
     m = traj.final.conj().T @ target.embedded[:, :e]
@@ -89,14 +73,3 @@ def fused_sweep(
     g2 = (2.0 / p) * np.real(np.einsum("iek,iek->k", z_h, r))
     return g1, g2
 
-
-def grad_total(
-    alpha: PulseSequence,
-    props: PropagatorSet,
-    target: GateTarget,
-    cfg: SystemConfig,
-) -> np.ndarray:
-    """Gradient of J = J1 + c1*J2: one forward pass plus one fused_sweep."""
-    traj = propagate(alpha, props, store_all=True)
-    g1, g2 = fused_sweep(traj, alpha, props, target, guard_weight_vector(cfg))
-    return g1 + cfg.c1 * g2

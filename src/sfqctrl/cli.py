@@ -16,7 +16,6 @@ import numpy as np
 
 from . import driver
 from .errors import IntegratorDivergence, NonUnitaryTarget, ParseError, ValidationError
-from .model import SystemConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -77,12 +76,7 @@ def _spec_from_args(args) -> driver.ExperimentSpec:
     if args.p is not None:
         overrides["p"] = args.p
     if args.theta_over_pi is not None:
-        sys_kwargs = {
-            f: getattr(spec.system, f)
-            for f in ("omega", "xi", "tau_p", "delta", "n_levels", "n_essential",
-                      "guard_weights", "c1", "substeps")
-        }
-        overrides["system"] = SystemConfig(theta=np.pi * args.theta_over_pi, **sys_kwargs)
+        overrides["system"] = replace(spec.system, theta=np.pi * args.theta_over_pi)
     return replace(spec, **overrides) if overrides else spec
 
 

@@ -15,25 +15,24 @@ from pathlib import Path
 
 import numpy as np
 
-from .adjoint import grad_total
 from .errors import ParseError, ValidationError
 from .model import (
     SystemConfig,
     TWO_PI,
     precompute_propagators,
-    relaxed_propagator,
     _integrate_amplitude,
 )
-from .objective import (
+# infidelity and leakage are not called here since the evaluator forms J, but
+# the benchmark's span tracer binds these driver globals by name.
+from .objective import (  # noqa: F401
     ForwardTrajectory,
     GateTarget,
     PulseSequence,
-    guard_weight_vector,
     infidelity,
     leakage,
     propagate,
 )
-from .trustregion import MultiRestartResult, multi_restart
+from .trustregion import MultiRestartResult, ObjectiveEvaluator, multi_restart
 
 GATE_ALIASES = {
     "h": "H",
@@ -100,10 +99,6 @@ class ExperimentSpec:
             p_min, p_max, stride = self.sweep
             if p_min < 1 or p_max < p_min or stride < 1:
                 raise ValidationError("sweep grid must satisfy 1 <= p_min <= p_max, stride >= 1", key="sweep")
-
-    @property
-    def duration_ns(self) -> float:
-        return self.p * self.system.tau_p
 
 
 def _parse_value(key: str, raw: str, line_no: int):
@@ -239,6 +234,27 @@ class OptimizeResult:
     files: dict[str, Path]
 
 
+def _write_trajectory_files(
+    spec: ExperimentSpec,
+    files: dict[str, Path],
+    traj: ForwardTrajectory,
+    values: tuple[float, float, float],
+    details: str,
+    result: MultiRestartResult | None = None,
+) -> OptimizeResult:
+    """Write files["populations"] and files["summary"] for traj; (J, J1, J2) go in the summary."""
+    j, j1, j2 = values
+    header, rows = population_rows(traj, spec.system)
+    _write_csv(files["populations"], header, rows)
+    top_pop = max_top_level_population(traj, spec.system)
+    summary = (
+        f"gate={spec.gate} p={traj.p} T_ns={traj.p * spec.system.tau_p:.6g} {details}"
+        f"J={j:.12e} J1={j1:.12e} J2={j2:.12e} max_pop_top_level={top_pop:.12e}"
+    )
+    files["summary"].write_text(summary + "\n")
+    return OptimizeResult(spec=spec, result=result, j=j, j1=j1, j2=j2, max_top_pop=top_pop, files=files)
+
+
 def run_optimize(spec: ExperimentSpec, props=None) -> OptimizeResult:
     """Precompute propagators, run the multi-restart protocol and write artifacts.
 
@@ -269,34 +285,17 @@ def run_optimize(spec: ExperimentSpec, props=None) -> OptimizeResult:
         "summary": out / "summary.txt",
     }
     files["pulse_sequence"].write_text(result.best_alpha.to_string() + "\n")
-
-    traj = propagate(result.best_alpha, props, store_all=True)
-    header, rows = population_rows(traj, spec.system)
-    _write_csv(files["populations"], header, rows)
-
     conv_rows = [
         [r.iteration, r.j, r.j1, r.j2, r.delta, r.rho, int(r.accepted)]
         for r in result.best_trace.records
     ]
     _write_csv(files["convergence"], ["iter", "J", "J1", "J2", "Delta", "rho", "accepted"], conv_rows)
-
-    top_pop = max_top_level_population(traj, spec.system)
-    summary = (
-        f"gate={spec.gate} p={spec.p} T_ns={spec.duration_ns:.6g} "
+    details = (
         f"theta_over_pi={spec.system.theta / np.pi:.8g} restarts={spec.n_restarts} seed={spec.seed} "
-        f"best_restart={result.best_index} J={best.objective:.12e} J1={best.j1:.12e} "
-        f"J2={best.j2:.12e} max_pop_top_level={top_pop:.12e}"
+        f"best_restart={result.best_index} "
     )
-    files["summary"].write_text(summary + "\n")
-    return OptimizeResult(
-        spec=spec,
-        result=result,
-        j=best.objective,
-        j1=best.j1,
-        j2=best.j2,
-        max_top_pop=top_pop,
-        files=files,
-    )
+    traj = propagate(result.best_alpha, props)
+    return _write_trajectory_files(spec, files, traj, (best.objective, best.j1, best.j2), details, result)
 
 
 def run_sweep(spec: ExperimentSpec, props=None) -> tuple[Path, list[list]]:
@@ -344,45 +343,30 @@ class GradCheckReport:
     passed: bool
 
 
-def fd_gradient(
-    alpha: PulseSequence,
-    props,
-    target: GateTarget,
-    cfg: SystemConfig,
-    step: float = 1.0e-5,
-) -> np.ndarray:
+def fd_gradient(alpha: PulseSequence, evaluator: ObjectiveEvaluator, step: float = 1.0e-5) -> np.ndarray:
     """Central finite differences of the relaxed objective, one bit at a time.
 
     Each coordinate replaces its step propagator by the integrated propagator
-    at amplitude a_k +/- step (the relaxed chain); all perturbed one-step
-    propagators are cached since only four amplitudes ever occur.
+    at amplitude a_k +/- step (the relaxed chain; the integrator is analytic
+    in the amplitude, so the binary endpoints may be stepped past).  The
+    perturbed one-step propagators are cached since only four amplitudes
+    ever occur.
     """
-    weights = guard_weight_vector(cfg)
+    props, cfg = evaluator.props, evaluator.cfg
     cache: dict[float, np.ndarray] = {}
 
-    def step_propagator(value: float) -> np.ndarray:
-        if value not in cache:
-            if 0.0 <= value <= 1.0:
-                cache[value] = relaxed_propagator(value, cfg)
-            else:
-                # Central differences at the binary endpoints evaluate just
-                # outside [0, 1]; the integrator is analytic in the amplitude.
-                cache[value] = _integrate_amplitude(cfg, value)[0]
-        return cache[value]
-
     def chain_objective(k: int, value: float) -> float:
+        if value not in cache:
+            cache[value] = _integrate_amplitude(cfg, value)[0]
         dim = cfg.n_levels
         u = np.eye(dim, dtype=complex)
         snaps = np.empty((len(alpha) + 1, dim, dim), dtype=complex)
         snaps[0] = u
         for j, bit in enumerate(alpha.bits):
-            d = step_propagator(value) if j == k else (props.d1 if bit else props.d0)
+            d = cache[value] if j == k else (props.d1 if bit else props.d0)
             u = d @ u
             snaps[j + 1] = u
-        traj = ForwardTrajectory(final=u, snapshots=snaps)
-        j1 = infidelity(u, target)
-        j2 = leakage(traj, weights, cfg.n_essential)
-        return j1 + cfg.c1 * j2
+        return evaluator.evaluate(ForwardTrajectory(final=u, snapshots=snaps))[0]
 
     grad = np.empty(len(alpha))
     for k, bit in enumerate(alpha.bits):
@@ -413,8 +397,9 @@ def run_grad_check(
     rng = np.random.default_rng(spec.seed)
     alpha = PulseSequence.random(p_check, rng)
 
-    g_adj = grad_total(alpha, props, target, spec.system)
-    g_fd = fd_gradient(alpha, props, target, spec.system, step=step)
+    evaluator = ObjectiveEvaluator(props, target, spec.system)
+    g_adj = evaluator.gradient(alpha, propagate(alpha, props))
+    g_fd = fd_gradient(alpha, evaluator, step=step)
     floor = 1.0e-10
     rel = np.abs(g_adj - g_fd) / np.maximum(np.abs(g_fd), floor)
     # Coordinates where both gradients sit below the floor carry no signal
@@ -437,30 +422,9 @@ def run_simulate(spec: ExperimentSpec, barcode_path: str | Path, props=None) -> 
     alpha = PulseSequence.from_string(text)
     if props is None:
         props = precompute_propagators(spec.system)
-    target = gate_target(spec.gate, spec.system.n_levels)
-
-    traj = propagate(alpha, props, store_all=True)
-    j1 = infidelity(traj.final, target)
-    j2 = leakage(traj, guard_weight_vector(spec.system), spec.system.n_essential)
-
+    evaluator = ObjectiveEvaluator(props, gate_target(spec.gate, spec.system.n_levels), spec.system)
+    traj = propagate(alpha, props)
     out = Path(spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     files = {"populations": out / "populations.csv", "summary": out / "summary.txt"}
-    header, rows = population_rows(traj, spec.system)
-    _write_csv(files["populations"], header, rows)
-    top_pop = max_top_level_population(traj, spec.system)
-    summary = (
-        f"gate={spec.gate} p={len(alpha)} T_ns={len(alpha) * spec.system.tau_p:.6g} "
-        f"J={j1 + spec.system.c1 * j2:.12e} J1={j1:.12e} J2={j2:.12e} "
-        f"max_pop_top_level={top_pop:.12e}"
-    )
-    files["summary"].write_text(summary + "\n")
-    return OptimizeResult(
-        spec=spec,
-        result=None,
-        j=j1 + spec.system.c1 * j2,
-        j1=j1,
-        j2=j2,
-        max_top_pop=top_pop,
-        files=files,
-    )
+    return _write_trajectory_files(spec, files, traj, evaluator.evaluate(traj), "")

@@ -1,19 +1,11 @@
 """Exception types shared across the package."""
 
 
-class DomainError(ValueError):
-    """An argument lies outside its mathematically valid range."""
-
-
 class IntegratorDivergence(ArithmeticError):
     """Time integration produced a propagator that is not unitary to tolerance.
 
     Usually signals an insufficient substep count for the configured pulse.
     """
-
-
-class MissingSnapshots(ValueError):
-    """A gradient sweep was asked to run on a trajectory without stored snapshots."""
 
 
 class ParseError(ValueError):

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, IntegratorDivergence, ValidationError
+from .errors import IntegratorDivergence, ValidationError
 
 TWO_PI = 2.0 * np.pi
 
@@ -247,21 +247,6 @@ def _integrate_amplitude(
     blocks[:, dim:, :dim] = frechet
     total = _chain_product(blocks)
     return np.ascontiguousarray(total[:dim, :dim]), np.ascontiguousarray(total[dim:, :dim])
-
-
-def relaxed_propagator(alpha: float, cfg: SystemConfig, substeps: int | None = None) -> np.ndarray:
-    """One-step unitary for the control amplitude alpha in [0, 1].
-
-    The endpoints reproduce the cached propagators exactly: alpha = 0 returns
-    the closed-form drift exponential (the integrator's exact pulse-off
-    limit), alpha = 1 the integrated pulse-on propagator.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise DomainError(f"control amplitude must lie in [0, 1], got {alpha}")
-    if alpha == 0.0:
-        return _drift_step(cfg)
-    d, _ = _integrate_amplitude(cfg, alpha, substeps=substeps)
-    return d
 
 
 def unitarity_defect(m: np.ndarray) -> float:

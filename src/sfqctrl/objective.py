@@ -88,28 +88,25 @@ class GateTarget:
 
 @dataclass(frozen=True)
 class ForwardTrajectory:
-    """Solution operators along the pulse sequence; snapshots is None unless stored."""
+    """Solution operators U_0..U_p along the pulse sequence, and U_p on its own."""
 
     final: np.ndarray
-    snapshots: np.ndarray | None = None
+    snapshots: np.ndarray
 
     @property
     def p(self) -> int:
-        if self.snapshots is None:
-            raise ValueError("trajectory length unknown without snapshots")
         return self.snapshots.shape[0] - 1
 
 
-def propagate(alpha: PulseSequence, props: PropagatorSet, store_all: bool = True) -> ForwardTrajectory:
+def propagate(alpha: PulseSequence, props: PropagatorSet) -> ForwardTrajectory:
     """Multiply out U_j = D_{a_j} ... D_{a_1}; U_0 = I, as a sqrt(p)-blocked prefix product.
 
     The word is cut into m chunks of L ~ sqrt(p) steps, the last one padded.
     The chunks advance in lockstep, one batched product per position; a
     short pass of m products forms the chunk prefixes; one batched fix-up
     multiplies every chunk by its prefix.  That is O(p) work in O(sqrt(p))
-    numpy calls.  With store_all the full stack U_0..U_p is
-    kept for leakage and gradient evaluation; otherwise only U_p is retained.
-    Both paths perform the same products, so the finals agree bit-exactly.
+    numpy calls.  The full stack U_0..U_p is kept for leakage and gradient
+    evaluation.
     """
     p, dim = len(alpha), props.dim
     size = round(p**0.5)
@@ -133,8 +130,6 @@ def propagate(alpha: PulseSequence, props: PropagatorSet, store_all: bool = True
     )
     snaps = snaps[: p + 1]
     final = snaps[p].copy()
-    if not store_all:
-        return ForwardTrajectory(final=final)
     snaps.setflags(write=False)
     return ForwardTrajectory(final=final, snapshots=snaps)
 
@@ -145,9 +140,9 @@ def overlap(final: np.ndarray, target: GateTarget) -> complex:
     return complex(np.vdot(final[:, :e], target.embedded[:, :e]))
 
 
-def infidelity(final: np.ndarray, target: GateTarget, n_essential: int | None = None) -> float:
+def infidelity(final: np.ndarray, target: GateTarget) -> float:
     """Gate infidelity J1 = 1 - |S_T|^2 / E^2; zero iff U_p matches V up to global phase."""
-    e = target.n_essential if n_essential is None else n_essential
+    e = target.n_essential
     s = overlap(final, target)
     return 1.0 - (s.real * s.real + s.imag * s.imag) / (e * e)
 
@@ -160,40 +155,8 @@ def guard_weight_vector(cfg: SystemConfig) -> np.ndarray:
 
 
 def leakage(traj: ForwardTrajectory, weights: np.ndarray, n_essential: int) -> float:
-    """Trapezoidal average of <U_j P, W U_j P>_F over the stored snapshots.
-
-    weights may be the diagonal of W (length N) or the full diagonal matrix.
-    """
-    if traj.snapshots is None:
-        raise ValueError("leakage needs a trajectory propagated with store_all")
-    w = np.asarray(weights, dtype=float)
-    if w.ndim == 2:
-        w = np.diag(w).copy()
+    """Trapezoidal average of <U_j P, W U_j P>_F over the snapshots; weights is the diagonal of W."""
     pops = np.abs(traj.snapshots[:, :, :n_essential]) ** 2
-    terms = np.einsum("jne,n->j", pops, w)
+    terms = np.einsum("jne,n->j", pops, weights)
     p = terms.size - 1
     return float((0.5 * terms[0] + terms[1:-1].sum() + 0.5 * terms[-1]) / p)
-
-
-def objective_with_trajectory(
-    alpha: PulseSequence,
-    props: PropagatorSet,
-    target: GateTarget,
-    cfg: SystemConfig,
-) -> tuple[float, float, float, ForwardTrajectory]:
-    """Evaluate (J, J1, J2) and return the stored trajectory for gradient reuse."""
-    traj = propagate(alpha, props, store_all=True)
-    j1 = infidelity(traj.final, target)
-    j2 = leakage(traj, guard_weight_vector(cfg), cfg.n_essential)
-    return j1 + cfg.c1 * j2, j1, j2, traj
-
-
-def total_objective(
-    alpha: PulseSequence,
-    props: PropagatorSet,
-    target: GateTarget,
-    cfg: SystemConfig,
-) -> tuple[float, float, float]:
-    """Combined objective J = J1 + c1*J2 together with its two terms."""
-    j, j1, j2, _ = objective_with_trajectory(alpha, props, target, cfg)
-    return j, j1, j2

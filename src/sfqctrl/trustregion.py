@@ -11,11 +11,12 @@ improves the model).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .adjoint import fused_sweep
+from .errors import ValidationError
 from .model import PropagatorSet, SystemConfig
 from .objective import (
     ForwardTrajectory,
@@ -70,19 +71,34 @@ class TrustRegionState:
 
 
 class ObjectiveEvaluator:
-    """Bundles propagators, target and config for repeated (J, gradient) queries."""
+    """The one evaluation path: J = J1 + c1*J2 and its relaxed gradient g1 + c1*g2.
+
+    The optimizer, the driver and the gradient check all go through it, so
+    the target's E is checked against the config's here, where every run
+    starts.
+    """
 
     def __init__(self, props: PropagatorSet, target: GateTarget, cfg: SystemConfig):
+        if target.n_essential != cfg.n_essential:
+            raise ValidationError(
+                f"the target acts on {target.n_essential} levels but the config has E = {cfg.n_essential}",
+                key="n_essential",
+            )
         self.props = props
         self.target = target
         self.cfg = cfg
         self._weights = guard_weight_vector(cfg)
 
-    def objective(self, alpha: PulseSequence) -> tuple[float, float, float, ForwardTrajectory]:
-        traj = propagate(alpha, self.props, store_all=True)
+    def evaluate(self, traj: ForwardTrajectory) -> tuple[float, float, float]:
+        """(J, J1, J2) of a propagated trajectory."""
         j1 = infidelity(traj.final, self.target)
         j2 = leakage(traj, self._weights, self.cfg.n_essential)
-        return j1 + self.cfg.c1 * j2, j1, j2, traj
+        return j1 + self.cfg.c1 * j2, j1, j2
+
+    def objective(self, alpha: PulseSequence) -> tuple[float, float, float, ForwardTrajectory]:
+        """(J, J1, J2) of a pulse word, plus its trajectory for the gradient."""
+        traj = propagate(alpha, self.props)
+        return (*self.evaluate(traj), traj)
 
     def gradient(self, alpha: PulseSequence, traj: ForwardTrajectory) -> np.ndarray:
         g1, g2 = fused_sweep(traj, alpha, self.props, self.target, self._weights)
@@ -119,17 +135,7 @@ def _terminal(state: TrustRegionState, reason: TerminationReason) -> tuple[Trust
         accepted=False,
         hamming_step=0,
     )
-    next_state = TrustRegionState(
-        alpha=state.alpha,
-        radius=0,
-        objective=state.objective,
-        j1=state.j1,
-        j2=state.j2,
-        gradient=state.gradient,
-        iteration=state.iteration + 1,
-        terminal_reason=reason,
-    )
-    return next_state, record
+    return replace(state, radius=0, iteration=state.iteration + 1, terminal_reason=reason), record
 
 
 def tr_step(
@@ -173,15 +179,7 @@ def tr_step(
         )
         accepted = True
     else:
-        next_state = TrustRegionState(
-            alpha=state.alpha,
-            radius=state.radius // 2,
-            objective=state.objective,
-            j1=state.j1,
-            j2=state.j2,
-            gradient=state.gradient,
-            iteration=state.iteration + 1,
-        )
+        next_state = replace(state, radius=state.radius // 2, iteration=state.iteration + 1)
         accepted = False
 
     record = IterationRecord(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sfqctrl import driver
 from sfqctrl.cli import main
 from sfqctrl.driver import (
     ExperimentSpec,
@@ -14,10 +15,10 @@ from sfqctrl.driver import (
     run_sweep,
     spec_from_values,
 )
-from sfqctrl.adjoint import grad_total
 from sfqctrl.errors import NonUnitaryTarget, ParseError, ValidationError
-from sfqctrl.model import SystemConfig, TWO_PI
-from sfqctrl.objective import PulseSequence
+from sfqctrl.model import SystemConfig, TWO_PI, precompute_propagators
+from sfqctrl.objective import PulseSequence, propagate
+from sfqctrl.trustregion import ObjectiveEvaluator
 
 FAST_KEYS = {"substeps": 400, "p": 24, "n_restarts": 2, "seed": 5}
 
@@ -129,6 +130,14 @@ class TestGateTargets:
         with pytest.raises(ValidationError):
             gate_target("W", 4)
 
+    def test_essential_mismatch_rejected(self, fast_props):
+        # A 2-level gate under E = 3 would leave level 2 neither matched by J1
+        # nor penalized by J2.
+        cfg = SystemConfig(substeps=400, n_essential=3, guard_weights=(1.0,))
+        with pytest.raises(ValidationError) as err:
+            ObjectiveEvaluator(fast_props, gate_target("H", 4), cfg)
+        assert err.value.key == "n_essential"
+
 
 class TestRunOptimize:
     def test_artifacts_well_formed(self, tmp_path):
@@ -207,18 +216,16 @@ class TestGradCheck:
         assert np.all(np.isfinite(report.rel_errors))
 
     def test_fd_error_scales_quadratically(self, tmp_path):
-        from sfqctrl.model import precompute_propagators
-
         spec = fast_spec(tmp_path)
         props = precompute_propagators(spec.system)
-        target = gate_target(spec.gate, 4)
+        evaluator = ObjectiveEvaluator(props, gate_target(spec.gate, 4), spec.system)
         alpha = PulseSequence.random(8, np.random.default_rng(spec.seed))
-        g_ref = grad_total(alpha, props, target, spec.system)
+        g_ref = evaluator.gradient(alpha, propagate(alpha, props))
         # Probe steps in the truncation-dominated regime (below h ~ 1e-2 the
         # objective's roundoff, amplified by 1/2h, takes over instead).
         errs = {}
         for h in (0.3, 0.03):
-            g_fd = fd_gradient(alpha, props, target, spec.system, step=h)
+            g_fd = fd_gradient(alpha, evaluator, step=h)
             errs[h] = np.abs(g_fd - g_ref).max()
         ratio = errs[0.3] / errs[0.03]
         assert 30 < ratio < 300, f"expected ~100x from a 10x step, got {ratio:.1f}"
@@ -274,8 +281,13 @@ class TestCli:
         assert "J1=" in capsys.readouterr().out
         assert (tmp_path / "out" / "pulse_sequence.txt").exists()
 
-    def test_flag_overrides(self, tmp_path, capsys):
+    def test_flag_overrides(self, tmp_path, capsys, monkeypatch):
         cfg = self._write_fast_config(tmp_path)
+        with cfg.open("a") as f:
+            f.write("c1 = 0.05\nguard_weights = 0.2, 0.7\n")
+        specs = []
+        run = driver.run_optimize
+        monkeypatch.setattr(driver, "run_optimize", lambda spec: specs.append(spec) or run(spec))
         code = main([
             "optimize", "--config", str(cfg), "--out", str(tmp_path / "o2"),
             "--gate", "X", "--p", "16", "--restarts", "1", "--seed", "9",
@@ -284,6 +296,19 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "gate=X" in out and "p=16" in out
+        # The tip-angle flag replaces theta and its derived fields only.
+        system = specs[0].system
+        assert system.theta == pytest.approx(0.01 * np.pi)
+        assert system.beta == pytest.approx(0.01 / system.tau_p)
+        assert system.drive_area == pytest.approx(0.005 * np.pi)
+        assert (system.substeps, system.c1, system.guard_weights) == (400, 0.05, (0.2, 0.7))
+
+    def test_essential_mismatch_exit_one(self, tmp_path, capsys):
+        cfg = tmp_path / "e3.cfg"
+        cfg.write_text("substeps = 400\np = 8\nn_restarts = 1\nn_essential = 3\nguard_weights = 1.0\ngate = H\n")
+        assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "n_essential" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_subcommand(self, tmp_path, capsys):
         cfg = self._write_fast_config(tmp_path)
