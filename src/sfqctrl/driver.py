@@ -207,14 +207,10 @@ def population_rows(traj: ForwardTrajectory, cfg: SystemConfig) -> tuple[list[st
     """Level populations |U_j[b, a]|^2 at each step boundary, one row per time."""
     n, e = cfg.n_levels, cfg.n_essential
     header = ["time_ns"] + [f"pop_{a}_{b}" for a in range(e) for b in range(n)]
-    pops = np.abs(traj.snapshots) ** 2
-    rows = []
-    for j in range(traj.p + 1):
-        row: list = [float(j * cfg.tau_p)]
-        for a in range(e):
-            row.extend(float(pops[j, b, a]) for b in range(n))
-        rows.append(row)
-    return header, rows
+    # Columns run over a (essential start) then b (level): transpose to (j, a, b).
+    pops = (np.abs(traj.snapshots[:, :, :e]) ** 2).transpose(0, 2, 1).reshape(traj.p + 1, e * n)
+    times = np.arange(traj.p + 1) * cfg.tau_p
+    return header, np.column_stack([times, pops]).tolist()
 
 
 def max_top_level_population(traj: ForwardTrajectory, cfg: SystemConfig) -> float:

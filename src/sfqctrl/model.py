@@ -30,6 +30,12 @@ the computed propagators are unitary to rounding regardless of the substep
 count, and sensitivities are obtained from the exact Frechet derivative of
 each step exponential -- the forward-accumulated derivative of the discrete
 product, not an independent discretization of the sensitivity ODE.
+
+Only the substeps the pulse reaches are integrated this way (delta/tau_p of
+them, 16 % at the defaults).  Past the envelope's last non-zero sample the
+generator is the diagonal drift at every amplitude, so the remaining
+substeps compose exactly to exp(-i*H0*t_tail) and contribute nothing to the
+sensitivity; that factor is applied in closed form.
 """
 
 from __future__ import annotations
@@ -83,6 +89,17 @@ class SystemConfig:
         return self.n_levels - self.n_essential
 
     def validate(self) -> None:
+        for key in ("omega", "xi", "tau_p", "delta", "theta", "c1"):
+            if not np.isfinite(getattr(self, key)):
+                raise ValidationError("must be finite", key=key)
+        if not np.all(np.isfinite(self.guard_weights)):
+            raise ValidationError("guard weights must be finite", key="guard_weights")
+        if self.omega <= 0:
+            raise ValidationError("qubit frequency must be positive", key="omega")
+        if self.xi < 0:
+            raise ValidationError("anharmonicity must be nonnegative", key="xi")
+        if self.theta < 0:
+            raise ValidationError("tip angle must be nonnegative", key="theta")
         if self.n_levels < 2:
             raise ValidationError("need at least two levels", key="n_levels")
         if not 0 < self.n_essential <= self.n_levels:
@@ -163,7 +180,9 @@ def pulse_shape(t, cfg: SystemConfig):
     b[m] = -(x[m] ** 2) + 3.0 * x[m] - 1.5
     m = (x >= 2.0) & (x <= 3.0)
     b[m] = 0.5 * (3.0 - x[m]) ** 2
-    b *= 3.0 / cfg.delta
+    # Scale only the support: 3/delta overflows for a subnormal delta, and
+    # inf * 0 would turn the zeros outside it into NaN.
+    b[b != 0.0] *= 3.0 / cfg.delta
     return float(b[0]) if t_arr.ndim == 0 else b.reshape(t_arr.shape)
 
 
@@ -173,7 +192,9 @@ def _drift_step(cfg: SystemConfig) -> np.ndarray:
 
 
 def _chain_product(mats: np.ndarray) -> np.ndarray:
-    """Ordered product mats[-1] @ ... @ mats[0] by pairwise tree reduction."""
+    """Ordered product mats[-1] @ ... @ mats[0] by pairwise tree reduction; I if empty."""
+    if mats.shape[0] == 0:
+        return np.eye(mats.shape[1], dtype=complex)
     while mats.shape[0] > 1:
         n = mats.shape[0]
         even = n - (n % 2)
@@ -201,6 +222,12 @@ def _integrate_amplitude(
     c1, c2 the control at the two Gauss nodes.  Omega is skew-Hermitian, so
     exp(Omega) (from the eigendecomposition of i*Omega) is exactly unitary,
     and dexp(Omega)[dOmega/dalpha] follows from the same eigendecomposition.
+
+    Only the first n_on substeps, up to the last one where the envelope is
+    sampled non-zero, go through this.  On every later substep c1 = c2 = 0,
+    so Omega = h*X and dOmega/dalpha = 0: their product is the diagonal
+    exp((n_sub - n_on)*h*X), which left-multiplies both D and B.
+    With no sampled pulse (n_on = 0) D is the pure drift and B = 0.
     """
     n_sub = cfg.substeps if substeps is None else substeps
     dim = cfg.n_levels
@@ -214,6 +241,11 @@ def _integrate_amplitude(
     k = np.arange(n_sub, dtype=float)
     v_lo = pulse_shape((k + _GAUSS_LO) * h, cfg)
     v_hi = pulse_shape((k + _GAUSS_HI) * h, cfg)
+    # Every substep past the envelope's last non-zero sample is pure drift.
+    on = np.flatnonzero((v_lo != 0.0) | (v_hi != 0.0))
+    n_on = int(on[-1]) + 1 if on.size else 0
+    v_lo, v_hi = v_lo[:n_on], v_hi[:n_on]
+    tail = np.exp(-1j * drift_levels(cfg) * ((n_sub - n_on) * h))[:, None]
     # Scalar weights of J and [X, J] in Omega and in dOmega/dalpha.
     s = 0.5 * h * cfg.drive_area * (v_lo + v_hi)
     w = (np.sqrt(3.0) / 12.0) * h * h * cfg.drive_area * (v_lo - v_hi)
@@ -229,7 +261,7 @@ def _integrate_amplitude(
     steps = (vecs * phase[:, None, :]) @ vecs_h
 
     if not with_sensitivity:
-        return _chain_product(steps), None
+        return tail * _chain_product(steps), None
 
     # Frechet derivative of each step exponential via the Loewner matrix of
     # exp on the (purely imaginary) spectrum of Omega.
@@ -241,12 +273,12 @@ def _integrate_amplitude(
 
     # Accumulate D and B jointly: the block products
     # [[U, 0], [L, U]] compose exactly as D <- U D, B <- U B + L D.
-    blocks = np.zeros((n_sub, 2 * dim, 2 * dim), dtype=complex)
+    blocks = np.zeros((n_on, 2 * dim, 2 * dim), dtype=complex)
     blocks[:, :dim, :dim] = steps
     blocks[:, dim:, dim:] = steps
     blocks[:, dim:, :dim] = frechet
     total = _chain_product(blocks)
-    return np.ascontiguousarray(total[:dim, :dim]), np.ascontiguousarray(total[dim:, :dim])
+    return tail * total[:dim, :dim], tail * total[dim:, :dim]
 
 
 def unitarity_defect(m: np.ndarray) -> float:
@@ -258,18 +290,21 @@ def unitarity_defect(m: np.ndarray) -> float:
 def precompute_propagators(cfg: SystemConfig) -> PropagatorSet:
     """Build D0, D1 and the sensitivities B0, B1 for one configuration.
 
-    Performed once per configuration; the result is immutable.  Raises
-    IntegratorDivergence if the integrated D1 is not unitary to 1e-11.  The
-    gradient kernel (adjoint.fused_sweep) uses closed forms that hold only for
-    unitary D0 and D1; their error grows like p times the defect, so the gate
-    is set tight enough for words of thousands of pulses.  The Magnus
-    integrator stays under 2e-12 up to 20000 substeps.
+    Performed once per configuration; the result is immutable.  D0 is the
+    closed-form drift step; D1, B1 and B0 integrate only the pulse's support
+    (see _integrate_amplitude), so the cost scales with delta/tau_p times the
+    substep count.  Raises IntegratorDivergence if the integrated D1 is not
+    unitary to 1e-11 (or its defect is NaN).  The gradient kernel
+    (adjoint.fused_sweep) uses closed forms that hold only for unitary D0 and
+    D1; their error grows like p times the defect, so the gate is set tight
+    enough for words of thousands of pulses.  The Magnus integrator stays
+    under 2e-12 up to 20000 substeps.
     """
     d0 = _drift_step(cfg)
     d1, b1 = _integrate_amplitude(cfg, 1.0, with_sensitivity=True)
     _, b0 = _integrate_amplitude(cfg, 0.0, with_sensitivity=True)
     defect = unitarity_defect(d1)
-    if defect > 1.0e-11:
+    if not defect <= 1.0e-11:
         raise IntegratorDivergence(
             f"pulse-on propagator unitarity defect {defect:.3e} exceeds 1e-11; "
             f"increase substeps (currently {cfg.substeps})"

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonUnitaryTarget, ValidationError
+from .errors import NonUnitaryTarget, ParseError, ValidationError
 from .model import PropagatorSet, SystemConfig
 
 
@@ -53,7 +53,11 @@ class PulseSequence:
 
     @classmethod
     def from_string(cls, text: str) -> "PulseSequence":
-        return cls(np.frombuffer(text.strip().encode("ascii"), dtype=np.uint8) - ord("0"))
+        try:
+            raw = text.strip().encode("ascii")
+        except UnicodeEncodeError:
+            raise ParseError(f"pulse sequence must be a string over {{0,1}}, got {text!r}") from None
+        return cls(np.frombuffer(raw, dtype=np.uint8) - ord("0"))
 
     def to_string(self) -> str:
         return "".join("1" if b else "0" for b in self.bits)

@@ -4,15 +4,79 @@ These deliberately avoid the production chain evaluation and gradient kernel:
 objectives are recomputed from their defining formulas with plain matrix
 products, gradients by central finite differences through integrator
 evaluations at perturbed amplitudes or by the step-by-step backward adjoint
-recursion, and the knapsack sub-problem by full Hamming-ball enumeration.
+recursion, the one-step propagators by integrating every substep of the grid,
+and the knapsack sub-problem by full Hamming-ball enumeration.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from sfqctrl.model import PropagatorSet, SystemConfig, _integrate_amplitude
+from sfqctrl.model import (
+    _GAUSS_HI,
+    _GAUSS_LO,
+    PropagatorSet,
+    SystemConfig,
+    _chain_product,
+    _integrate_amplitude,
+    build_drift_hamiltonian,
+    lowering_operator,
+    pulse_shape,
+)
 from sfqctrl.objective import ForwardTrajectory, GateTarget, PulseSequence
+
+
+def full_grid_integration(cfg: SystemConfig, alpha: float, substeps: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(D, dD/dalpha) of one SFQ step, integrating every substep of the grid.
+
+    The same fourth-order Magnus scheme as the production integrator, with no
+    trimming of the pure-drift substeps past the pulse: each of them is
+    exponentiated and Frechet-differentiated like the driven ones.
+    """
+    n_sub = cfg.substeps if substeps is None else substeps
+    dim = cfg.n_levels
+    h = cfg.tau_p / n_sub
+    a = lowering_operator(dim)
+    j_op = a - a.conj().T
+    x_op = -1j * build_drift_hamiltonian(cfg)
+    xj_comm = x_op @ j_op - j_op @ x_op
+
+    k = np.arange(n_sub, dtype=float)
+    v_lo = pulse_shape((k + _GAUSS_LO) * h, cfg)
+    v_hi = pulse_shape((k + _GAUSS_HI) * h, cfg)
+    s = 0.5 * h * cfg.drive_area * (v_lo + v_hi)
+    w = (np.sqrt(3.0) / 12.0) * h * h * cfg.drive_area * (v_lo - v_hi)
+
+    omega = h * x_op + (alpha * s)[:, None, None] * j_op + (alpha * w)[:, None, None] * xj_comm
+    mu, vecs = np.linalg.eigh(1j * omega)
+    vecs_h = vecs.conj().swapaxes(-1, -2)
+    steps = (vecs * np.exp(-1j * mu)[:, None, :]) @ vecs_h
+
+    d_omega = s[:, None, None] * j_op + w[:, None, None] * xj_comm
+    half_diff = 0.5 * (mu[:, :, None] - mu[:, None, :])
+    half_sum = 0.5 * (mu[:, :, None] + mu[:, None, :])
+    loewner = np.exp(-1j * half_sum) * np.sinc(half_diff / np.pi)
+    frechet = vecs @ (loewner * (vecs_h @ d_omega @ vecs)) @ vecs_h
+
+    blocks = np.zeros((n_sub, 2 * dim, 2 * dim), dtype=complex)
+    blocks[:, :dim, :dim] = steps
+    blocks[:, dim:, dim:] = steps
+    blocks[:, dim:, :dim] = frechet
+    total = _chain_product(blocks)
+    return total[:dim, :dim], total[dim:, :dim]
+
+
+def population_rows_loop(traj: ForwardTrajectory, cfg: SystemConfig) -> list[list]:
+    """Rows of populations.csv built one element at a time."""
+    n, e = cfg.n_levels, cfg.n_essential
+    pops = np.abs(traj.snapshots) ** 2
+    rows = []
+    for j in range(traj.p + 1):
+        row: list = [float(j * cfg.tau_p)]
+        for a in range(e):
+            row.extend(float(pops[j, b, a]) for b in range(n))
+        rows.append(row)
+    return rows
 
 
 def chain_snapshots(step_matrices: list[np.ndarray]) -> np.ndarray:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import population_rows_loop
 from sfqctrl import driver
 from sfqctrl.cli import main
 from sfqctrl.driver import (
@@ -165,6 +166,15 @@ class TestRunOptimize:
         summary = res.files["summary"].read_text()
         for token in ("gate=", "J1=", "J2=", "max_pop_top_level="):
             assert token in summary
+
+    @pytest.mark.parametrize("n_essential", [2, 3])
+    def test_populations_file_matches_elementwise_build(self, tmp_path, n_essential):
+        cfg = SystemConfig(substeps=400, n_essential=n_essential, guard_weights=(0.1, 1.0)[: 4 - n_essential])
+        traj = propagate(PulseSequence.random(37, np.random.default_rng(37)), precompute_propagators(cfg))
+        header, rows = driver.population_rows(traj, cfg)
+        driver._write_csv(tmp_path / "rows.csv", header, rows)
+        driver._write_csv(tmp_path / "loop.csv", header, population_rows_loop(traj, cfg))
+        assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
     def test_deterministic_outputs(self, tmp_path):
         spec_a = fast_spec(tmp_path / "a")
@@ -341,6 +351,16 @@ class TestCli:
         bad = tmp_path / "bad.cfg"
         bad.write_text("guard_weights = 0.1\n")
         assert main(["optimize", "--config", str(bad)]) == 1
+
+    @pytest.mark.parametrize(
+        "line", ["c1 = nan", "omega_over_2pi_ghz = nan", "tau_p_ns = inf", "theta_over_pi = -0.01"]
+    )
+    def test_non_finite_or_out_of_range_exit_one(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"substeps = 400\np = 8\nn_restarts = 1\n{line}\n")
+        assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_file_exit_one(self, tmp_path):
         assert main(["simulate", str(tmp_path / "nope.txt"), "--out", str(tmp_path)]) == 1

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from oracles import full_grid_integration
 from sfqctrl.errors import IntegratorDivergence, ValidationError
 from sfqctrl.model import (
     SystemConfig,
@@ -109,6 +110,25 @@ class TestConfig:
             SystemConfig(n_levels=1, n_essential=1, guard_weights=())
         with pytest.raises(ValidationError):
             SystemConfig(guard_weights=(-0.1, 1.0))
+        for key, value in (("theta", -0.01 * np.pi), ("omega", 0.0), ("omega", -1.0), ("xi", -0.1)):
+            with pytest.raises(ValidationError) as err:
+                SystemConfig(**{key: value})
+            assert err.value.key == key
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        key=st.sampled_from(["omega", "xi", "tau_p", "delta", "theta", "c1", "guard_weights"]),
+        value=st.sampled_from([np.nan, np.inf, -np.inf]),
+        index=st.integers(min_value=0, max_value=1),
+    )
+    def test_non_finite_values_rejected(self, key, value, index):
+        if key == "guard_weights":
+            weights = [0.1, 1.0]
+            weights[index] = value
+            value = tuple(weights)
+        with pytest.raises(ValidationError) as err:
+            SystemConfig(**{key: value})
+        assert err.value.key == key
 
 
 class TestPropagators:
@@ -150,11 +170,12 @@ class TestPropagators:
     def test_divergence_check(self, monkeypatch):
         cfg = SystemConfig(substeps=50)
         eye = np.eye(cfg.n_levels, dtype=complex)
-        # A grossly non-unitary D1, and a near-unitary one whose defect
-        # (~1e-10), amplified p-fold, would show in the closed-form gradient.
+        # A grossly non-unitary D1, a near-unitary one whose defect (~1e-10),
+        # amplified p-fold, would show in the closed-form gradient, and a NaN
+        # one, whose defect compares false against any bound.
         near = eye * (1.0 + 2.5e-11)
         assert 5e-11 < unitarity_defect(near) < 2e-10
-        for bad in (eye * 1.5, near):
+        for bad in (eye * 1.5, near, eye * np.nan):
 
             def fake(cfg_, alpha, substeps=None, with_sensitivity=False):
                 return bad, np.zeros_like(bad)
@@ -180,3 +201,52 @@ class TestRelaxedPropagator:
     @given(alpha=st.floats(min_value=0.0, max_value=1.0))
     def test_unitary_for_all_amplitudes(self, fast_cfg, alpha):
         assert unitarity_defect(_integrate_amplitude(fast_cfg, alpha)[0]) < 1e-10
+
+
+class TestSupportOnlyIntegration:
+    """Only the substeps the pulse reaches are integrated; the drift tail is closed-form."""
+
+    @staticmethod
+    def assert_matches_full_grid(cfg):
+        for alpha in (0.0, 1.0):
+            d, b = _integrate_amplitude(cfg, alpha, with_sensitivity=True)
+            d_ref, b_ref = full_grid_integration(cfg, alpha)
+            assert np.abs(d - d_ref).max() < 1e-12
+            assert np.abs(b - b_ref).max() < 1e-12
+
+    @pytest.mark.parametrize("substeps", [1, 2, 7, 400, 10_000])
+    def test_matches_full_grid(self, substeps):
+        self.assert_matches_full_grid(SystemConfig(substeps=substeps))
+
+    @settings(max_examples=20, deadline=None)
+    @given(delta=st.floats(min_value=0.0, max_value=SystemConfig().tau_p, exclude_min=True))
+    @example(delta=SystemConfig().tau_p)  # the pulse fills the step: nothing is trimmed
+    @example(delta=5e-324)  # subnormal: the envelope scale 3/delta overflows
+    def test_matches_full_grid_for_any_pulse_duration(self, delta):
+        self.assert_matches_full_grid(SystemConfig(delta=delta, substeps=400))
+
+    def test_empty_support_is_pure_drift(self):
+        # At one substep both Gauss nodes fall past delta = 0.16 tau_p.
+        cfg = SystemConfig(substeps=1)
+        d, b = _integrate_amplitude(cfg, 1.0, with_sensitivity=True)
+        np.testing.assert_array_equal(d, _drift_step(cfg))
+        np.testing.assert_array_equal(b, np.zeros_like(b))
+
+    def test_drift_reached_to_roundoff(self, paper_cfg):
+        d0 = _integrate_amplitude(paper_cfg, 0.0)[0]
+        assert np.abs(d0 - _drift_step(paper_cfg)).max() < 2e-13
+
+    def test_decomposes_only_the_support(self, paper_cfg, monkeypatch):
+        eigh = np.linalg.eigh
+        batches = []
+
+        def spy(m):
+            batches.append(m.shape[0])
+            return eigh(m)
+
+        monkeypatch.setattr("sfqctrl.model.np.linalg.eigh", spy)
+        for _ in range(2):
+            batches.clear()
+            precompute_propagators(paper_cfg)
+            # delta / tau_p = 0.16 of 10000 substeps, once per amplitude (1 and 0).
+            assert batches == [1600, 1600]

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import chain_snapshots
-from sfqctrl.errors import NonUnitaryTarget, ValidationError
+from sfqctrl.errors import NonUnitaryTarget, ParseError, ValidationError
 from sfqctrl.model import SystemConfig, drift_levels, precompute_propagators
 from sfqctrl.objective import (
     ForwardTrajectory,
@@ -34,6 +34,10 @@ class TestPulseSequence:
         seq = PulseSequence(np.array([1, 0, 0, 1, 1]))
         assert seq.to_string() == "10011"
         assert np.array_equal(PulseSequence.from_string("10011").bits, seq.bits)
+
+    def test_from_string_rejects_non_ascii(self):
+        with pytest.raises(ParseError):
+            PulseSequence.from_string("10é1")
 
     def test_random_is_seeded(self):
         a = PulseSequence.random(50, np.random.default_rng(3))
