@@ -12,8 +12,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import driver
 from .errors import IntegratorDivergence, NonUnitaryTarget, ParseError, ValidationError
 
@@ -21,6 +19,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
 EXIT_CHECK_FAILED = 3
+
+# Flags that set a config key; each destination is the key's name, and a set
+# flag overrides the config file's value before the spec is validated.
+_FLAG_KEYS = ("seed", "n_restarts", "gate", "p", "theta_over_pi")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -33,7 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", type=Path, help="key = value config file")
         p.add_argument("--seed", type=int, help="random seed for initial guesses")
-        p.add_argument("--restarts", type=int, help="number of random restarts")
+        p.add_argument("--restarts", dest="n_restarts", type=int, help="number of random restarts")
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")
         p.add_argument("--gate", help="gate name (H, X, Y, Z, Identity) or matrix file")
         p.add_argument("--p", type=int, help="number of SFQ steps")
@@ -65,19 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _spec_from_args(args) -> driver.ExperimentSpec:
     values = driver.parse_config_text(args.config.read_text()) if args.config else {}
-    spec = driver.spec_from_values(values, output_dir=args.out)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.restarts is not None:
-        overrides["n_restarts"] = args.restarts
-    if args.gate is not None:
-        overrides["gate"] = args.gate
-    if args.p is not None:
-        overrides["p"] = args.p
-    if args.theta_over_pi is not None:
-        overrides["system"] = replace(spec.system, theta=np.pi * args.theta_over_pi)
-    return replace(spec, **overrides) if overrides else spec
+    values.update((key, getattr(args, key)) for key in _FLAG_KEYS if getattr(args, key) is not None)
+    return driver.spec_from_values(values, output_dir=args.out)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -122,7 +113,8 @@ def main(argv: list[str] | None = None) -> int:
 
         raise AssertionError(f"unhandled command {args.command}")
 
-    except (ParseError, ValidationError, NonUnitaryTarget, FileNotFoundError) as exc:
+    # A config, matrix or barcode file that is not UTF-8 text fails in read_text.
+    except (ParseError, ValidationError, NonUnitaryTarget, FileNotFoundError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (IntegratorDivergence, OSError) as exc:

@@ -91,6 +91,8 @@ class ExperimentSpec:
             raise ValidationError("pulse count must be positive", key="p")
         if self.n_restarts < 1:
             raise ValidationError("need at least one restart", key="n_restarts")
+        if self.seed < 0:
+            raise ValidationError("seed must be nonnegative", key="seed")
         if not 0.0 < self.rho_hat < 1.0:
             raise ValidationError("acceptance ratio must lie in (0, 1)", key="rho_hat")
         if self.delta0 is not None and self.delta0 < 1:
@@ -251,24 +253,23 @@ def _write_trajectory_files(
     return OptimizeResult(spec=spec, result=result, j=j, j1=j1, j2=j2, max_top_pop=top_pop, files=files)
 
 
+def _evaluator(spec: ExperimentSpec, props=None) -> ObjectiveEvaluator:
+    """The run's one evaluator; the gate is resolved first, so a bad one fails before the precompute."""
+    target = gate_target(spec.gate, spec.system.n_levels)
+    if props is None:
+        props = precompute_propagators(spec.system)
+    return ObjectiveEvaluator(props, target, spec.system)
+
+
 def run_optimize(spec: ExperimentSpec, props=None) -> OptimizeResult:
     """Precompute propagators, run the multi-restart protocol and write artifacts.
 
     Writes pulse_sequence.txt (barcode), populations.csv, convergence.csv and
     summary.txt into spec.output_dir.
     """
-    if props is None:
-        props = precompute_propagators(spec.system)
-    target = gate_target(spec.gate, spec.system.n_levels)
+    evaluator = _evaluator(spec, props)
     result = multi_restart(
-        spec.n_restarts,
-        spec.seed,
-        spec.p,
-        props,
-        target,
-        spec.system,
-        delta0=spec.delta0,
-        rho_hat=spec.rho_hat,
+        spec.n_restarts, spec.seed, spec.p, evaluator, delta0=spec.delta0, rho_hat=spec.rho_hat
     )
     best = result.best
 
@@ -290,7 +291,7 @@ def run_optimize(spec: ExperimentSpec, props=None) -> OptimizeResult:
         f"theta_over_pi={spec.system.theta / np.pi:.8g} restarts={spec.n_restarts} seed={spec.seed} "
         f"best_restart={result.best_index} "
     )
-    traj = propagate(result.best_alpha, props)
+    traj = propagate(result.best_alpha, evaluator.props)
     return _write_trajectory_files(spec, files, traj, (best.objective, best.j1, best.j2), details, result)
 
 
@@ -298,27 +299,18 @@ def run_sweep(spec: ExperimentSpec, props=None) -> tuple[Path, list[list]]:
     """Run the multi-restart protocol for each p on the sweep grid.
 
     Appends (p, T_ns, best_J1, best_J2, best_J) per grid point to sweep.csv.
-    The propagators depend only on the system config and are shared across
-    all durations.
+    The evaluator (propagators, target, weights) depends only on the spec's
+    system and gate, so one is shared across all durations.
     """
     if spec.sweep is None:
         raise ValidationError("sweep bounds are not set", key="sweep")
     p_min, p_max, stride = spec.sweep
-    if props is None:
-        props = precompute_propagators(spec.system)
-    target = gate_target(spec.gate, spec.system.n_levels)
+    evaluator = _evaluator(spec, props)
 
     rows: list[list] = []
     for p in range(p_min, p_max + 1, stride):
         result = multi_restart(
-            spec.n_restarts,
-            spec.seed,
-            p,
-            props,
-            target,
-            spec.system,
-            delta0=spec.delta0,
-            rho_hat=spec.rho_hat,
+            spec.n_restarts, spec.seed, p, evaluator, delta0=spec.delta0, rho_hat=spec.rho_hat
         )
         best = result.best
         rows.append([p, float(p * spec.system.tau_p), best.j1, best.j2, best.objective])
@@ -362,7 +354,7 @@ def fd_gradient(alpha: PulseSequence, evaluator: ObjectiveEvaluator, step: float
             d = cache[value] if j == k else (props.d1 if bit else props.d0)
             u = d @ u
             snaps[j + 1] = u
-        return evaluator.evaluate(ForwardTrajectory(final=u, snapshots=snaps))[0]
+        return evaluator.evaluate(ForwardTrajectory(snapshots=snaps))[0]
 
     grad = np.empty(len(alpha))
     for k, bit in enumerate(alpha.bits):
@@ -372,29 +364,27 @@ def fd_gradient(alpha: PulseSequence, evaluator: ObjectiveEvaluator, step: float
     return grad
 
 
+GRAD_CHECK_THRESHOLD = 1.0e-4
+
+
 def run_grad_check(
-    spec: ExperimentSpec,
-    p_check: int = 16,
-    step: float = 1.0e-5,
-    props=None,
-    threshold: float = 1.0e-4,
+    spec: ExperimentSpec, p_check: int = 16, step: float = 1.0e-5, props=None
 ) -> GradCheckReport:
     """Compare the adjoint gradient against central finite differences.
 
     Draws a seeded random sequence of length p_check, prints per-coordinate
     relative errors (with a 1e-10 absolute floor for near-zero entries) and
-    fails when the maximum exceeds the threshold.
+    fails when the maximum reaches GRAD_CHECK_THRESHOLD.
     """
+    if p_check < 1:
+        raise ValidationError("need at least one step", key="p_check")
     if p_check > 64:
         raise ValidationError("finite differencing beyond p = 64 is too slow", key="p_check")
-    if props is None:
-        props = precompute_propagators(spec.system)
-    target = gate_target(spec.gate, spec.system.n_levels)
-    rng = np.random.default_rng(spec.seed)
-    alpha = PulseSequence.random(p_check, rng)
-
-    evaluator = ObjectiveEvaluator(props, target, spec.system)
-    g_adj = evaluator.gradient(alpha, propagate(alpha, props))
+    if not 0.0 < step < np.inf:
+        raise ValidationError("finite-difference step must be finite and positive", key="step")
+    evaluator = _evaluator(spec, props)
+    alpha = PulseSequence.random(p_check, np.random.default_rng(spec.seed))
+    g_adj = evaluator.gradient(alpha, propagate(alpha, evaluator.props))
     g_fd = fd_gradient(alpha, evaluator, step=step)
     floor = 1.0e-10
     rel = np.abs(g_adj - g_fd) / np.maximum(np.abs(g_fd), floor)
@@ -406,7 +396,7 @@ def run_grad_check(
         step=step,
         rel_errors=rel,
         max_rel_error=float(rel.max()),
-        passed=bool(rel.max() < threshold),
+        passed=bool(rel.max() < GRAD_CHECK_THRESHOLD),
     )
 
 
@@ -416,10 +406,8 @@ def run_simulate(spec: ExperimentSpec, barcode_path: str | Path, props=None) -> 
     if not text or any(ch not in "01" for ch in text):
         raise ParseError(f"barcode file {barcode_path} must hold one line over {{0,1}}")
     alpha = PulseSequence.from_string(text)
-    if props is None:
-        props = precompute_propagators(spec.system)
-    evaluator = ObjectiveEvaluator(props, gate_target(spec.gate, spec.system.n_levels), spec.system)
-    traj = propagate(alpha, props)
+    evaluator = _evaluator(spec, props)
+    traj = propagate(alpha, evaluator.props)
     out = Path(spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     files = {"populations": out / "populations.csv", "summary": out / "summary.txt"}

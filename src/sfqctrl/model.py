@@ -204,10 +204,7 @@ def _chain_product(mats: np.ndarray) -> np.ndarray:
 
 
 def _integrate_amplitude(
-    cfg: SystemConfig,
-    alpha: float,
-    substeps: int | None = None,
-    with_sensitivity: bool = False,
+    cfg: SystemConfig, alpha: float, with_sensitivity: bool = False
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Integrate one SFQ step at control amplitude alpha.
 
@@ -229,7 +226,7 @@ def _integrate_amplitude(
     exp((n_sub - n_on)*h*X), which left-multiplies both D and B.
     With no sampled pulse (n_on = 0) D is the pure drift and B = 0.
     """
-    n_sub = cfg.substeps if substeps is None else substeps
+    n_sub = cfg.substeps
     dim = cfg.n_levels
     h = cfg.tau_p / n_sub
 

@@ -92,10 +92,14 @@ class GateTarget:
 
 @dataclass(frozen=True)
 class ForwardTrajectory:
-    """Solution operators U_0..U_p along the pulse sequence, and U_p on its own."""
+    """Solution operators U_0..U_p along the pulse sequence."""
 
-    final: np.ndarray
     snapshots: np.ndarray
+
+    @property
+    def final(self) -> np.ndarray:
+        """U_p, the gate the whole word realizes."""
+        return self.snapshots[-1]
 
     @property
     def p(self) -> int:
@@ -133,9 +137,8 @@ def propagate(alpha: PulseSequence, props: PropagatorSet) -> ForwardTrajectory:
         out=snaps[1:].reshape(chunks, size * dim, dim),
     )
     snaps = snaps[: p + 1]
-    final = snaps[p].copy()
     snaps.setflags(write=False)
-    return ForwardTrajectory(final=final, snapshots=snaps)
+    return ForwardTrajectory(snapshots=snaps)
 
 
 def overlap(final: np.ndarray, target: GateTarget) -> complex:

@@ -197,9 +197,7 @@ def tr_step(
 
 def optimize(
     alpha0: PulseSequence,
-    props: PropagatorSet,
-    target: GateTarget,
-    cfg: SystemConfig,
+    evaluator: ObjectiveEvaluator,
     delta0: int | None = None,
     rho_hat: float = 0.75,
     max_iter: int = 500,
@@ -213,7 +211,6 @@ def optimize(
         raise ValueError("initial trust-region radius must be at least 1")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    evaluator = ObjectiveEvaluator(props, target, cfg)
     j, j1, j2, traj = evaluator.objective(alpha0)
     state = TrustRegionState(
         alpha=alpha0,
@@ -264,9 +261,7 @@ def multi_restart(
     n_restarts: int,
     seed: int,
     p: int,
-    props: PropagatorSet,
-    target: GateTarget,
-    cfg: SystemConfig,
+    evaluator: ObjectiveEvaluator,
     delta0: int | None = None,
     rho_hat: float = 0.75,
     max_iter: int = 500,
@@ -283,7 +278,7 @@ def multi_restart(
     summaries: list[RestartSummary] = []
     for i in range(n_restarts):
         alpha0 = PulseSequence.random(p, rng)
-        alpha, trace = optimize(alpha0, props, target, cfg, delta0=delta0, rho_hat=rho_hat, max_iter=max_iter)
+        alpha, trace = optimize(alpha0, evaluator, delta0=delta0, rho_hat=rho_hat, max_iter=max_iter)
         last = trace.records[-1]
         summaries.append(
             RestartSummary(

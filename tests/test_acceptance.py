@@ -5,6 +5,7 @@ The four full-scale gate protocols are computed once and shared.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -58,7 +59,7 @@ def protocols(systems):
     for gate in ("H", "X"):
         for name in ("300", "100"):
             cfg, props = systems[name]
-            res = multi_restart(RESTARTS, SEED, PULSES, props, gate_target(gate, 4), cfg)
+            res = multi_restart(RESTARTS, SEED, PULSES, ObjectiveEvaluator(props, gate_target(gate, 4), cfg))
             runs[(gate, name)] = (cfg, props, res)
     return runs
 
@@ -67,7 +68,7 @@ def test_criterion_1_propagator_unitarity(systems):
     t0 = time.perf_counter()
     cfg, props = systems["300"]
     defect = unitarity_defect(props.d1)
-    d1_fine, _ = _integrate_amplitude(cfg, 1.0, substeps=2 * cfg.substeps)
+    d1_fine, _ = _integrate_amplitude(replace(cfg, substeps=2 * cfg.substeps), 1.0)
     doubling = float(np.abs(d1_fine - props.d1).max())
     elapsed = time.perf_counter() - t0
     passed = defect < 1e-10 and doubling < 1e-8
@@ -226,7 +227,7 @@ def test_criterion_8_property_suite(protocols):
     seen = False
     for seed in range(5):
         alpha0 = PulseSequence.random(12, np.random.default_rng(seed))
-        alpha, trace = optimize(alpha0, small_props, target, small_cfg)
+        alpha, trace = optimize(alpha0, evaluator)
         if trace.terminal_reason is TerminationReason.NO_IMPROVING_FLIP:
             seen = True
             _, _, _, traj = evaluator.objective(alpha)
@@ -235,8 +236,8 @@ def test_criterion_8_property_suite(protocols):
     checks.append(("termination stationarity", stationary and seen))
 
     # Determinism under a fixed seed.
-    a = multi_restart(2, 17, 12, small_props, target, small_cfg)
-    b = multi_restart(2, 17, 12, small_props, target, small_cfg)
+    a = multi_restart(2, 17, 12, evaluator)
+    b = multi_restart(2, 17, 12, evaluator)
     deterministic = np.array_equal(a.best_alpha.bits, b.best_alpha.bits) and [
         s.objective for s in a.summaries
     ] == [s.objective for s in b.summaries]

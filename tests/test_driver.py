@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,14 @@ class TestRunOptimize:
         driver._write_csv(tmp_path / "loop.csv", header, population_rows_loop(traj, cfg))
         assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
+    def test_unknown_gate_fails_before_precompute(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(driver, "precompute_propagators", calls.append)
+        with pytest.raises(ValidationError) as err:
+            run_optimize(fast_spec(tmp_path, gate="W"))
+        assert err.value.key == "gate"
+        assert calls == []
+
     def test_deterministic_outputs(self, tmp_path):
         spec_a = fast_spec(tmp_path / "a")
         spec_b = fast_spec(tmp_path / "b")
@@ -199,6 +209,19 @@ class TestRunSweep:
         text = path.read_text().strip().splitlines()
         assert text[0] == "p,T_ns,best_J1,best_J2,best_J"
         assert len(text) == 3
+
+    def test_one_evaluator_per_sweep(self, tmp_path, monkeypatch):
+        built = []
+        init = ObjectiveEvaluator.__init__
+
+        def spy(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(ObjectiveEvaluator, "__init__", spy)
+        _, rows = run_sweep(replace(fast_spec(tmp_path), sweep=(8, 24, 8)))
+        assert len(rows) == 3
+        assert len(built) == 1
 
     def test_sweep_point_matches_run_optimize(self, tmp_path):
         base = fast_spec(tmp_path / "opt", p=16)
@@ -294,7 +317,9 @@ class TestCli:
     def test_flag_overrides(self, tmp_path, capsys, monkeypatch):
         cfg = self._write_fast_config(tmp_path)
         with cfg.open("a") as f:
-            f.write("c1 = 0.05\nguard_weights = 0.2, 0.7\n")
+            # Every flag's key is also in the file; the file's tip angle is
+            # invalid, and the flag's value replaces it before validation.
+            f.write("c1 = 0.05\nguard_weights = 0.2, 0.7\ngate = Y\ntheta_over_pi = -0.01\n")
         specs = []
         run = driver.run_optimize
         monkeypatch.setattr(driver, "run_optimize", lambda spec: specs.append(spec) or run(spec))
@@ -306,8 +331,10 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "gate=X" in out and "p=16" in out
+        spec = specs[0]
+        assert (spec.gate, spec.p, spec.n_restarts, spec.seed) == ("X", 16, 1, 9)
         # The tip-angle flag replaces theta and its derived fields only.
-        system = specs[0].system
+        system = spec.system
         assert system.theta == pytest.approx(0.01 * np.pi)
         assert system.beta == pytest.approx(0.01 / system.tau_p)
         assert system.drive_area == pytest.approx(0.005 * np.pi)
@@ -359,6 +386,31 @@ class TestCli:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"substeps = 400\np = 8\nn_restarts = 1\n{line}\n")
         assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize", "--config", "fast.cfg", "--seed", "-1"],
+            ["optimize", "--config", "negative_seed.cfg"],
+            ["grad-check", "--config", "fast.cfg", "--p-check", "-1"],
+            ["grad-check", "--config", "fast.cfg", "--h", "0"],
+            ["grad-check", "--config", "fast.cfg", "--h", "nan"],
+            ["optimize", "--config", "not_utf8.txt"],
+            ["optimize", "--config", "fast.cfg", "--gate", "not_utf8.txt"],
+            ["simulate", "not_utf8.txt", "--config", "fast.cfg"],
+        ],
+        ids=[
+            "seed-flag", "seed-file", "p-check", "h-zero", "h-nan", "config-utf8", "matrix-utf8", "barcode-utf8"
+        ],
+    )
+    def test_bad_input_exit_one(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        self._write_fast_config(tmp_path)
+        (tmp_path / "negative_seed.cfg").write_text("substeps = 400\np = 8\nn_restarts = 1\nseed = -1\n")
+        (tmp_path / "not_utf8.txt").write_bytes(b"\xff\n")
+        assert main(argv + ["--out", "out"]) == 1
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 

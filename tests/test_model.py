@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -137,7 +139,7 @@ class TestPropagators:
         assert unitarity_defect(paper_props.d0) < 1e-10
 
     def test_substep_doubling_converged(self, paper_cfg, paper_props):
-        d1_fine, _ = _integrate_amplitude(paper_cfg, 1.0, substeps=2 * paper_cfg.substeps)
+        d1_fine, _ = _integrate_amplitude(replace(paper_cfg, substeps=2 * paper_cfg.substeps), 1.0)
         assert np.abs(d1_fine - paper_props.d1).max() < 1e-8
 
     def test_drift_consistency(self, paper_cfg):
@@ -177,7 +179,7 @@ class TestPropagators:
         assert 5e-11 < unitarity_defect(near) < 2e-10
         for bad in (eye * 1.5, near, eye * np.nan):
 
-            def fake(cfg_, alpha, substeps=None, with_sensitivity=False):
+            def fake(cfg_, alpha, with_sensitivity=False):
                 return bad, np.zeros_like(bad)
 
             monkeypatch.setattr("sfqctrl.model._integrate_amplitude", fake)

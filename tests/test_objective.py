@@ -137,7 +137,7 @@ class TestLeakage:
 
     def test_identity_trajectory(self):
         snaps = np.array([np.eye(4, dtype=complex)] * 5)
-        traj = ForwardTrajectory(final=snaps[-1], snapshots=snaps)
+        traj = ForwardTrajectory(snapshots=snaps)
         assert leakage(traj, np.array([0, 0, 0.1, 1.0]), 2) == 0.0
 
     def test_guard_column_contribution(self):
@@ -146,13 +146,13 @@ class TestLeakage:
         u_mid[:, 0] = 0.0
         u_mid[2, 0] = 1.0
         snaps = np.array([np.eye(4, dtype=complex), u_mid, np.eye(4, dtype=complex)])
-        traj = ForwardTrajectory(final=snaps[-1], snapshots=snaps)
+        traj = ForwardTrajectory(snapshots=snaps)
         w = np.array([0, 0, 0.1, 1.0])
         assert leakage(traj, w, 2) == pytest.approx(0.1 / 2, abs=1e-15)
 
     def test_trapezoid_hand_expansion(self, rng):
         snaps = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
-        traj = ForwardTrajectory(final=snaps[-1], snapshots=snaps)
+        traj = ForwardTrajectory(snapshots=snaps)
         w = np.array([0, 0, 0.3, 0.7])
         terms = [
             sum(w[n] * abs(snaps[j][n, i]) ** 2 for n in range(4) for i in range(2))

@@ -141,11 +141,9 @@ class TestStep:
 
 
 @pytest.fixture(scope="module")
-def small_problem():
+def small_evaluator():
     cfg = SystemConfig(substeps=300)
-    props = precompute_propagators(cfg)
-    target = GateTarget.from_essential(H_GATE, 4)
-    return cfg, props, target
+    return ObjectiveEvaluator(precompute_propagators(cfg), GateTarget.from_essential(H_GATE, 4), cfg)
 
 
 class TestOptimize:
@@ -156,20 +154,18 @@ class TestOptimize:
         props = precompute_propagators(cfg)
         target = GateTarget.from_essential(np.eye(2), 4)
         alpha0 = PulseSequence(np.array([1]))
-        alpha, trace = optimize(alpha0, props, target, cfg)
+        alpha, trace = optimize(alpha0, ObjectiveEvaluator(props, target, cfg))
         assert len(trace.records) == 1
         assert trace.terminal_reason is TerminationReason.ZERO_GRADIENT
         assert np.array_equal(alpha.bits, alpha0.bits)
 
-    def test_accepted_objective_monotone(self, small_problem, rng):
-        cfg, props, target = small_problem
-        _, trace = optimize(PulseSequence.random(24, rng), props, target, cfg)
+    def test_accepted_objective_monotone(self, small_evaluator, rng):
+        _, trace = optimize(PulseSequence.random(24, rng), small_evaluator)
         accepted = [r.j for r in trace.records if r.accepted]
         assert all(b <= a for a, b in zip(accepted, accepted[1:]))
 
-    def test_radius_dynamics_follow_rules(self, small_problem, rng):
-        cfg, props, target = small_problem
-        _, trace = optimize(PulseSequence.random(24, rng), props, target, cfg)
+    def test_radius_dynamics_follow_rules(self, small_evaluator, rng):
+        _, trace = optimize(PulseSequence.random(24, rng), small_evaluator)
         radius = 24
         for r in trace.records:
             assert r.delta == radius
@@ -183,13 +179,12 @@ class TestOptimize:
                 radius = radius // 2
         assert radius == 0 or trace.terminal_reason is TerminationReason.MAX_ITERATIONS
 
-    def test_single_flip_stationarity_at_termination(self, small_problem):
-        cfg, props, target = small_problem
-        evaluator = ObjectiveEvaluator(props, target, cfg)
+    def test_single_flip_stationarity_at_termination(self, small_evaluator):
+        evaluator = small_evaluator
         reasons = []
         for seed in range(6):
             rng = np.random.default_rng(seed)
-            alpha, trace = optimize(PulseSequence.random(10, rng), props, target, cfg)
+            alpha, trace = optimize(PulseSequence.random(10, rng), evaluator)
             reasons.append(trace.terminal_reason)
             if trace.terminal_reason is TerminationReason.NO_IMPROVING_FLIP:
                 _, _, _, traj = evaluator.objective(alpha)
@@ -201,11 +196,11 @@ class TestOptimize:
     def test_reference_recursion_takes_the_same_steps(self, fast_cfg, fast_props, monkeypatch):
         # The closed-form gradient kernel and the step-by-step adjoint
         # recursion differ only in roundoff, which must not change a decision.
-        target = GateTarget.from_essential(H_GATE, 4)
+        evaluator = ObjectiveEvaluator(fast_props, GateTarget.from_essential(H_GATE, 4), fast_cfg)
         alpha0 = PulseSequence.random(64, np.random.default_rng(64))
-        alpha, trace = optimize(alpha0, fast_props, target, fast_cfg)
+        alpha, trace = optimize(alpha0, evaluator)
         monkeypatch.setattr("sfqctrl.trustregion.fused_sweep", adjoint_recursion)
-        ref_alpha, ref_trace = optimize(alpha0, fast_props, target, fast_cfg)
+        ref_alpha, ref_trace = optimize(alpha0, evaluator)
         assert len(trace.records) > 2
         assert alpha.to_string() == ref_alpha.to_string()
         assert [(r.accepted, r.hamming_step) for r in trace.records] == [
@@ -214,23 +209,20 @@ class TestOptimize:
 
 
 class TestMultiRestart:
-    def test_single_restart_equals_optimize(self, small_problem):
-        cfg, props, target = small_problem
+    def test_single_restart_equals_optimize(self, small_evaluator):
         seed = 99
-        res = multi_restart(1, seed, 16, props, target, cfg)
+        res = multi_restart(1, seed, 16, small_evaluator)
         alpha0 = PulseSequence.random(16, np.random.default_rng(seed))
-        alpha, trace = optimize(alpha0, props, target, cfg)
+        alpha, trace = optimize(alpha0, small_evaluator)
         assert np.array_equal(res.best_alpha.bits, alpha.bits)
         assert res.best.objective == trace.records[-1].j
 
-    def test_deterministic_for_fixed_seed(self, small_problem):
-        cfg, props, target = small_problem
-        a = multi_restart(3, 7, 16, props, target, cfg)
-        b = multi_restart(3, 7, 16, props, target, cfg)
+    def test_deterministic_for_fixed_seed(self, small_evaluator):
+        a = multi_restart(3, 7, 16, small_evaluator)
+        b = multi_restart(3, 7, 16, small_evaluator)
         assert np.array_equal(a.best_alpha.bits, b.best_alpha.bits)
         assert [s.objective for s in a.summaries] == [s.objective for s in b.summaries]
 
-    def test_best_is_minimum_objective(self, small_problem):
-        cfg, props, target = small_problem
-        res = multi_restart(4, 11, 16, props, target, cfg)
+    def test_best_is_minimum_objective(self, small_evaluator):
+        res = multi_restart(4, 11, 16, small_evaluator)
         assert res.best.objective == min(s.objective for s in res.summaries)
