@@ -4,14 +4,25 @@ Each test prints one PASS/FAIL line (run with ``pytest -s`` to see them live).
 The four full-scale gate protocols are computed once and shared.
 """
 
+import json
 import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from golden_decisions import (
+    DURATION_CASES,
+    GOLDEN_PATH,
+    SEED,
+    build_systems,
+    decisions,
+    mismatches,
+    run_duration_sweeps,
+    run_protocols,
+)
 from oracles import enumerate_ball_minimum, fd_gradient_oracle, lattice_gradient
-from sfqctrl.driver import ExperimentSpec, gate_target, run_sweep
+from sfqctrl.driver import gate_target
 from sfqctrl.model import (
     SystemConfig,
     _integrate_amplitude,
@@ -33,10 +44,6 @@ from sfqctrl.trustregion import (
     solve_subproblem,
 )
 
-SEED = 1234
-PULSES = 1600
-RESTARTS = 10
-
 
 def report(number: int, label: str, passed: bool, detail: str) -> None:
     print(f"\n[{'PASS' if passed else 'FAIL'}] criterion {number}: {label} ({detail})")
@@ -45,23 +52,23 @@ def report(number: int, label: str, passed: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def systems():
-    out = {}
-    for name, theta in (("300", np.pi / 300), ("100", np.pi / 100)):
-        cfg = SystemConfig(theta=theta)
-        out[name] = (cfg, precompute_propagators(cfg))
-    return out
+    return build_systems()
 
 
 @pytest.fixture(scope="module")
-def protocols(systems):
-    """Best multi-restart result for each (gate, tip angle) at T = 40 ns."""
-    runs = {}
-    for gate in ("H", "X"):
-        for name in ("300", "100"):
-            cfg, props = systems[name]
-            res = multi_restart(RESTARTS, SEED, PULSES, ObjectiveEvaluator(props, gate_target(gate, 4), cfg))
-            runs[(gate, name)] = (cfg, props, res)
-    return runs
+def protocol_runs(systems):
+    """Multi-restart results per (gate, tip angle) at T = 40 ns, and every restart's final word."""
+    return run_protocols(systems)
+
+
+@pytest.fixture(scope="module")
+def protocols(protocol_runs):
+    return protocol_runs[0]
+
+
+@pytest.fixture(scope="module")
+def duration_sweeps(systems, tmp_path_factory):
+    return run_duration_sweeps(systems, tmp_path_factory.mktemp("sweeps"))
 
 
 def test_criterion_1_propagator_unitarity(systems):
@@ -163,29 +170,13 @@ def test_criterion_6_leakage_bounds(protocols):
     report(6, "top-level population bounded at the optima", passed, "; ".join(details))
 
 
-def test_criterion_7_duration_sweep(systems, tmp_path):
-    # Coarse stride-80 neighborhoods ending at each bound; a crossing at
-    # T <= bound establishes that the smallest such T meets the bound.
-    cases = [
-        ("H", "300", 34.0, (1280, 1360)),
-        ("H", "100", 14.0, (480, 560)),
-        ("X", "300", 30.0, (1120, 1200)),
-        ("X", "100", 12.0, (400, 480)),
-    ]
+def test_criterion_7_duration_sweep(duration_sweeps):
+    # A crossing at T <= bound on a coarse neighborhood ending at the bound
+    # establishes that the smallest such T meets it.
     details = []
     passed = True
-    for gate, name, bound_ns, (p_min, p_max) in cases:
-        cfg, props = systems[name]
-        spec = ExperimentSpec(
-            system=cfg,
-            gate=gate,
-            p=p_max,
-            n_restarts=RESTARTS,
-            seed=SEED,
-            output_dir=tmp_path / f"{gate}{name}",
-            sweep=(p_min, p_max, 80),
-        )
-        _, rows = run_sweep(spec, props=props)
+    for gate, name, bound_ns, _ in DURATION_CASES:
+        rows = duration_sweeps[(gate, name)]
         crossing = [r for r in rows if r[1] <= bound_ns and r[2] < 1e-3]
         passed &= bool(crossing)
         best = min((r[2] for r in rows), default=np.inf)
@@ -245,3 +236,11 @@ def test_criterion_8_property_suite(protocols):
 
     passed = all(ok for _, ok in checks)
     report(8, "property suite", passed, "; ".join(f"{n}: {'ok' if ok else 'FAIL'}" for n, ok in checks))
+
+
+def test_golden_decisions(protocol_runs, duration_sweeps):
+    # Round-trip through JSON so both sides hold the same plain types.
+    got = json.loads(json.dumps(decisions(*protocol_runs, duration_sweeps)))
+    want = json.loads(GOLDEN_PATH.read_text())
+    diffs = mismatches(got, want)
+    assert not diffs, "decisions moved from tests/golden/decisions.json:\n" + "\n".join(diffs[:20])
