@@ -195,13 +195,11 @@ def gate_target(gate: str, n_levels: int) -> GateTarget:
     return GateTarget.from_essential(_read_matrix_file(path), n_levels)
 
 
-def _format_row(values) -> str:
-    return ",".join(f"{v:.12e}" if isinstance(v, float) else str(v) for v in values)
-
-
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    """Write header and rows: float columns as %.12e, int columns as %d, typed by the first row."""
+    fmt = ",".join("%.12e" if isinstance(v, float) else "%d" for v in rows[0])
     lines = [",".join(header)]
-    lines.extend(_format_row(row) for row in rows)
+    lines.extend(fmt % tuple(row) for row in rows)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -253,11 +251,15 @@ def _write_trajectory_files(
     return OptimizeResult(spec=spec, result=result, j=j, j1=j1, j2=j2, max_top_pop=top_pop, files=files)
 
 
-def _evaluator(spec: ExperimentSpec, props=None) -> ObjectiveEvaluator:
-    """The run's one evaluator; the gate is resolved first, so a bad one fails before the precompute."""
+def _evaluator(spec: ExperimentSpec, props=None, with_sensitivity: bool = True) -> ObjectiveEvaluator:
+    """The run's one evaluator; the gate is resolved first, so a bad one fails before the precompute.
+
+    with_sensitivity=False precomputes a forward-only set (no B0/B1) when
+    props is None: the evaluator then forms J but not its gradient.
+    """
     target = gate_target(spec.gate, spec.system.n_levels)
     if props is None:
-        props = precompute_propagators(spec.system)
+        props = precompute_propagators(spec.system, with_sensitivity=with_sensitivity)
     return ObjectiveEvaluator(props, target, spec.system)
 
 
@@ -401,12 +403,15 @@ def run_grad_check(
 
 
 def run_simulate(spec: ExperimentSpec, barcode_path: str | Path, props=None) -> OptimizeResult:
-    """Forward-only run of a stored barcode: populations plus objective summary."""
+    """Forward-only run of a stored barcode: populations plus objective summary.
+
+    Without props it precomputes D0/D1 only; the sensitivities are never used.
+    """
     text = Path(barcode_path).read_text().strip()
-    if not text or any(ch not in "01" for ch in text):
+    if not text or text.strip("01"):
         raise ParseError(f"barcode file {barcode_path} must hold one line over {{0,1}}")
     alpha = PulseSequence.from_string(text)
-    evaluator = _evaluator(spec, props)
+    evaluator = _evaluator(spec, props, with_sensitivity=False)
     traj = propagate(alpha, evaluator.props)
     out = Path(spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -22,7 +22,9 @@ The evolution operator of a single step obeys dU/dt = -i(H0 + alpha*Hc(t))U
 with the binary (relaxed to real) control amplitude alpha; this module
 integrates that equation once per configuration and caches the pulse-off /
 pulse-on propagators D0/D1 together with their amplitude sensitivities
-B0/B1 = dD(alpha)/dalpha at alpha = 0, 1.
+B0/B1 = dD(alpha)/dalpha at alpha = 0, 1.  Only the relaxed gradient uses
+B0/B1; a forward-only set for re-simulating a finished word holds D0/D1
+alone.
 
 Integration uses a fourth-order two-point Gauss Magnus scheme.  Every step
 exponentiates a skew-Hermitian generator through its eigendecomposition, so
@@ -36,11 +38,19 @@ them, 16 % at the defaults).  Past the envelope's last non-zero sample the
 generator is the diagonal drift at every amplitude, so the remaining
 substeps compose exactly to exp(-i*H0*t_tail) and contribute nothing to the
 sensitivity; that factor is applied in closed form.
+
+D0 needs no integration: it is exp(-i*H0*tau_p).  Nor does B0 need an
+eigendecomposition: at alpha = 0 every substep's generator is the same
+diagonal, so each step exponential and its Frechet derivative (one Loewner
+matrix for all substeps) are known in closed form and only their chain is
+multiplied out (_sensitivity_at_zero).  Only D1 and B1 go through the
+eigendecompositions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,8 +108,8 @@ class SystemConfig:
             raise ValidationError("qubit frequency must be positive", key="omega")
         if self.xi < 0:
             raise ValidationError("anharmonicity must be nonnegative", key="xi")
-        if self.theta < 0:
-            raise ValidationError("tip angle must be nonnegative", key="theta")
+        if not 0 <= self.theta <= np.pi:
+            raise ValidationError("tip angle must lie in [0, pi]", key="theta")
         if self.n_levels < 2:
             raise ValidationError("need at least two levels", key="n_levels")
         if not 0 < self.n_essential <= self.n_levels:
@@ -119,6 +129,16 @@ class SystemConfig:
             raise ValidationError("leakage weight must be nonnegative", key="c1")
         if self.substeps < 1:
             raise ValidationError("need at least one integrator substep", key="substeps")
+        # A substep must resolve the fastest drift phase: past pi per substep
+        # the Magnus step aliases it and J no longer means anything.
+        with np.errstate(over="ignore", invalid="ignore"):
+            phase = self.tau_p / self.substeps * float(np.abs(drift_levels(self)).max())
+        if not phase < np.pi:
+            raise ValidationError(
+                f"drift phase per substep (tau_p/substeps)*max|h_n| = {phase:.3g} must stay below pi; "
+                "increase substeps",
+                key="substeps",
+            )
 
 
 @dataclass(frozen=True)
@@ -126,18 +146,20 @@ class PropagatorSet:
     """One-SFQ-step propagators and their control-amplitude sensitivities.
 
     ``d0``/``d1`` are the unitary pulse-off/pulse-on propagators; ``b0``/``b1``
-    are dD(alpha)/dalpha evaluated at alpha = 0 and alpha = 1 (not unitary).
-    All four are immutable and safe to share across threads.
+    are dD(alpha)/dalpha evaluated at alpha = 0 and alpha = 1 (not unitary),
+    or None in a forward-only set, which supports propagation but not the
+    gradient.  All arrays are immutable and safe to share across threads.
     """
 
     d0: np.ndarray
     d1: np.ndarray
-    b0: np.ndarray
-    b1: np.ndarray
+    b0: np.ndarray | None = None
+    b1: np.ndarray | None = None
 
     def __post_init__(self):
         for m in (self.d0, self.d1, self.b0, self.b1):
-            m.setflags(write=False)
+            if m is not None:
+                m.setflags(write=False)
 
     @property
     def dim(self) -> int:
@@ -203,34 +225,34 @@ def _chain_product(mats: np.ndarray) -> np.ndarray:
     return mats[0]
 
 
-def _integrate_amplitude(
-    cfg: SystemConfig, alpha: float, with_sensitivity: bool = False
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Integrate one SFQ step at control amplitude alpha.
+class _SubstepGrid(NamedTuple):
+    """The Magnus substep grid of one SFQ step, trimmed to the pulse's support.
 
-    Returns (D, B) where D is the step propagator and B = dD/dalpha, or
-    (D, None) when the sensitivity is not requested.  Fourth-order Magnus:
-    with generator A(t) = -i*diag(h) + c(t)*(a - a'), where the control
-    coefficient is c(t) = alpha*drive_area*v(t), each substep applies
-    exp(Omega) with
-
-        Omega = h*X + (h/2)(c1 + c2)*J + (sqrt(3)h^2/12)(c1 - c2)*[X, J],
-
-    c1, c2 the control at the two Gauss nodes.  Omega is skew-Hermitian, so
-    exp(Omega) (from the eigendecomposition of i*Omega) is exactly unitary,
-    and dexp(Omega)[dOmega/dalpha] follows from the same eigendecomposition.
-
-    Only the first n_on substeps, up to the last one where the envelope is
-    sampled non-zero, go through this.  On every later substep c1 = c2 = 0,
-    so Omega = h*X and dOmega/dalpha = 0: their product is the diagonal
-    exp((n_sub - n_on)*h*X), which left-multiplies both D and B.
-    With no sampled pulse (n_on = 0) D is the pure drift and B = 0.
+    Substep k applies exp(Omega_k), Omega_k = h*X + alpha*(s[k]*J + w[k]*[X, J])
+    with X = -i*diag(h_n) and J = a - a'.  Only the first n_on substeps, up
+    to the last one where the envelope is sampled non-zero, are kept.  On
+    every later substep Omega = h*X at every amplitude, so together they are
+    the diagonal exp((n_sub - n_on)*h*X), stored as the column ``tail``.
     """
+
+    h: float
+    s: np.ndarray
+    w: np.ndarray
+    tail: np.ndarray
+    x_op: np.ndarray
+    j_op: np.ndarray
+    xj_comm: np.ndarray
+
+    @property
+    def n_on(self) -> int:
+        return self.s.size
+
+
+def _substep_grid(cfg: SystemConfig) -> _SubstepGrid:
     n_sub = cfg.substeps
-    dim = cfg.n_levels
     h = cfg.tau_p / n_sub
 
-    a = lowering_operator(dim)
+    a = lowering_operator(cfg.n_levels)
     j_op = a - a.conj().T
     x_op = -1j * build_drift_hamiltonian(cfg)
     xj_comm = x_op @ j_op - j_op @ x_op
@@ -243,39 +265,97 @@ def _integrate_amplitude(
     n_on = int(on[-1]) + 1 if on.size else 0
     v_lo, v_hi = v_lo[:n_on], v_hi[:n_on]
     tail = np.exp(-1j * drift_levels(cfg) * ((n_sub - n_on) * h))[:, None]
-    # Scalar weights of J and [X, J] in Omega and in dOmega/dalpha.
     s = 0.5 * h * cfg.drive_area * (v_lo + v_hi)
     w = (np.sqrt(3.0) / 12.0) * h * h * cfg.drive_area * (v_lo - v_hi)
+    return _SubstepGrid(h=h, s=s, w=w, tail=tail, x_op=x_op, j_op=j_op, xj_comm=xj_comm)
 
+
+def _exp_loewner(mu: np.ndarray) -> np.ndarray:
+    """Loewner matrix of t -> exp(-i*t) on the spectrum mu (last axis), for Frechet derivatives."""
+    half_diff = 0.5 * (mu[..., :, None] - mu[..., None, :])
+    half_sum = 0.5 * (mu[..., :, None] + mu[..., None, :])
+    return np.exp(-1j * half_sum) * np.sinc(half_diff / np.pi)
+
+
+def _integrate_amplitude(
+    cfg: SystemConfig, alpha: float, with_sensitivity: bool = False
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Integrate one SFQ step at control amplitude alpha.
+
+    Returns (D, B) where D is the step propagator and B = dD/dalpha, or
+    (D, None) when the sensitivity is not requested.  Fourth-order Magnus:
+    with the control coefficient c(t) = alpha*drive_area*v(t), each substep
+    applies exp(Omega) with
+
+        Omega = h*X + (h/2)(c1 + c2)*J + (sqrt(3)h^2/12)(c1 - c2)*[X, J],
+
+    c1, c2 the control at the two Gauss nodes.  Omega is skew-Hermitian, so
+    exp(Omega) (from the eigendecomposition of i*Omega) is exactly unitary,
+    and dexp(Omega)[dOmega/dalpha] follows from the same eigendecomposition.
+    Only the n_on substeps of the pulse's support are integrated (see
+    _SubstepGrid); the drift tail left-multiplies D and B in closed form.
+    With no sampled pulse (n_on = 0) D is the pure drift and B = 0.
+    """
+    grid = _substep_grid(cfg)
     omega = (
-        h * x_op
-        + (alpha * s)[:, None, None] * j_op
-        + (alpha * w)[:, None, None] * xj_comm
+        grid.h * grid.x_op
+        + (alpha * grid.s)[:, None, None] * grid.j_op
+        + (alpha * grid.w)[:, None, None] * grid.xj_comm
     )
     mu, vecs = np.linalg.eigh(1j * omega)
     phase = np.exp(-1j * mu)
     vecs_h = vecs.conj().swapaxes(-1, -2)
     steps = (vecs * phase[:, None, :]) @ vecs_h
 
+    # D comes from the chain of the steps alone either way, so it is the same
+    # array whether or not B is requested.
+    d = grid.tail * _chain_product(steps)
     if not with_sensitivity:
-        return tail * _chain_product(steps), None
+        return d, None
 
     # Frechet derivative of each step exponential via the Loewner matrix of
     # exp on the (purely imaginary) spectrum of Omega.
-    d_omega = s[:, None, None] * j_op + w[:, None, None] * xj_comm
-    half_diff = 0.5 * (mu[:, :, None] - mu[:, None, :])
-    half_sum = 0.5 * (mu[:, :, None] + mu[:, None, :])
-    loewner = np.exp(-1j * half_sum) * np.sinc(half_diff / np.pi)
+    d_omega = _d_omega(grid)
+    loewner = _exp_loewner(mu)
     frechet = vecs @ (loewner * (vecs_h @ d_omega @ vecs)) @ vecs_h
+    return d, _accumulate_sensitivity(grid, steps, frechet)
 
-    # Accumulate D and B jointly: the block products
-    # [[U, 0], [L, U]] compose exactly as D <- U D, B <- U B + L D.
-    blocks = np.zeros((n_on, 2 * dim, 2 * dim), dtype=complex)
+
+def _d_omega(grid: _SubstepGrid) -> np.ndarray:
+    """dOmega_k/dalpha = s[k]*J + w[k]*[X, J], one matrix per driven substep."""
+    return grid.s[:, None, None] * grid.j_op + grid.w[:, None, None] * grid.xj_comm
+
+
+def _accumulate_sensitivity(grid: _SubstepGrid, steps: np.ndarray, frechet: np.ndarray) -> np.ndarray:
+    """B = dD/dalpha of the substep chain from each step U_k and its Frechet term L_k.
+
+    The block products [[U, 0], [L, U]] compose exactly as D <- U D,
+    B <- U B + L D; B is the lower-left block, left-multiplied by the tail.
+    """
+    dim = grid.x_op.shape[0]
+    blocks = np.zeros((grid.n_on, 2 * dim, 2 * dim), dtype=complex)
     blocks[:, :dim, :dim] = steps
     blocks[:, dim:, dim:] = steps
     blocks[:, dim:, :dim] = frechet
-    total = _chain_product(blocks)
-    return tail * total[:dim, :dim], tail * total[dim:, :dim]
+    return grid.tail * _chain_product(blocks)[dim:, :dim]
+
+
+def _sensitivity_at_zero(cfg: SystemConfig) -> np.ndarray:
+    """B0 = dD/dalpha at alpha = 0, with no eigendecomposition.
+
+    At alpha = 0 every substep's Omega is the diagonal h*X, so its
+    eigenvectors are I and its spectrum is mu = h*h_n: each step is
+    diag(exp(-i*mu)) and its Frechet term is L o dOmega_k, with one Loewner
+    matrix L for every substep.  These are exactly the factors that
+    _integrate_amplitude(cfg, 0.0, with_sensitivity=True) gets from eigh,
+    and they go through the same block chain in the same order, so the
+    result is that B0 (bit for bit wherever eigh returns a diagonal input's
+    eigenvectors as I, as LAPACK does).
+    """
+    grid = _substep_grid(cfg)
+    mu = grid.h * drift_levels(cfg)
+    steps = np.broadcast_to(np.diag(np.exp(-1j * mu)), (grid.n_on, mu.size, mu.size))
+    return _accumulate_sensitivity(grid, steps, _exp_loewner(mu) * _d_omega(grid))
 
 
 def unitarity_defect(m: np.ndarray) -> float:
@@ -284,26 +364,32 @@ def unitarity_defect(m: np.ndarray) -> float:
     return float(np.linalg.norm(m.conj().T @ m - eye))
 
 
-def precompute_propagators(cfg: SystemConfig) -> PropagatorSet:
-    """Build D0, D1 and the sensitivities B0, B1 for one configuration.
+def precompute_propagators(cfg: SystemConfig, with_sensitivity: bool = True) -> PropagatorSet:
+    """Build D0, D1 and (unless with_sensitivity is False) B0, B1 for one configuration.
 
     Performed once per configuration; the result is immutable.  D0 is the
-    closed-form drift step; D1, B1 and B0 integrate only the pulse's support
-    (see _integrate_amplitude), so the cost scales with delta/tau_p times the
-    substep count.  Raises IntegratorDivergence if the integrated D1 is not
-    unitary to 1e-11 (or its defect is NaN).  The gradient kernel
-    (adjoint.fused_sweep) uses closed forms that hold only for unitary D0 and
-    D1; their error grows like p times the defect, so the gate is set tight
-    enough for words of thousands of pulses.  The Magnus integrator stays
-    under 2e-12 up to 20000 substeps.
+    closed-form drift step.  D1, and B1 with it, integrate only the pulse's
+    support (see _integrate_amplitude), so the cost scales with delta/tau_p
+    times the substep count.  B0 needs no eigendecomposition (see
+    _sensitivity_at_zero).
+    A forward-only set (with_sensitivity=False) skips the Frechet terms and
+    leaves b0 = b1 = None: enough for propagation and the objective, not
+    for the gradient; its D1 is the same array as the full set's.
+
+    Raises IntegratorDivergence if the integrated D1 is not unitary to 1e-11
+    (or its defect is NaN).  The gradient kernel (adjoint.fused_sweep) uses
+    closed forms that hold only for unitary D0 and D1; their error grows
+    like p times the defect, so the gate is set tight enough for words of
+    thousands of pulses.  The Magnus integrator stays under 2e-12 up to
+    20000 substeps.
     """
     d0 = _drift_step(cfg)
-    d1, b1 = _integrate_amplitude(cfg, 1.0, with_sensitivity=True)
-    _, b0 = _integrate_amplitude(cfg, 0.0, with_sensitivity=True)
+    d1, b1 = _integrate_amplitude(cfg, 1.0, with_sensitivity)
     defect = unitarity_defect(d1)
     if not defect <= 1.0e-11:
         raise IntegratorDivergence(
             f"pulse-on propagator unitarity defect {defect:.3e} exceeds 1e-11; "
             f"increase substeps (currently {cfg.substeps})"
         )
+    b0 = _sensitivity_at_zero(cfg) if with_sensitivity else None
     return PropagatorSet(d0=d0, d1=d1, b0=b0, b1=b1)

@@ -101,6 +101,12 @@ class ObjectiveEvaluator:
         return (*self.evaluate(traj), traj)
 
     def gradient(self, alpha: PulseSequence, traj: ForwardTrajectory) -> np.ndarray:
+        """Relaxed gradient dJ/dalpha; needs a propagator set with B0 and B1."""
+        if self.props.b0 is None or self.props.b1 is None:
+            raise ValueError(
+                "the propagator set is forward-only (precomputed with with_sensitivity=False); "
+                "the gradient needs B0 and B1"
+            )
         g1, g2 = fused_sweep(traj, alpha, self.props, self.target, self._weights)
         return g1 + self.cfg.c1 * g2
 

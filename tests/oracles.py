@@ -5,7 +5,8 @@ objectives are recomputed from their defining formulas with plain matrix
 products, gradients by central finite differences through integrator
 evaluations at perturbed amplitudes or by the step-by-step backward adjoint
 recursion, the one-step propagators by integrating every substep of the grid,
-and the knapsack sub-problem by full Hamming-ball enumeration.
+the knapsack sub-problem by full Hamming-ball enumeration, and CSV text by
+formatting one value at a time.
 """
 
 from __future__ import annotations
@@ -77,6 +78,16 @@ def population_rows_loop(traj: ForwardTrajectory, cfg: SystemConfig) -> list[lis
             row.extend(float(pops[j, b, a]) for b in range(n))
         rows.append(row)
     return rows
+
+
+def format_row(values) -> str:
+    """One CSV row, value by value: floats as f"{v:.12e}", anything else as str(v)."""
+    return ",".join(f"{v:.12e}" if isinstance(v, float) else str(v) for v in values)
+
+
+def csv_text(header: list[str], rows: list[list]) -> str:
+    """The text of a CSV file with this header and these rows, one format_row per row."""
+    return "\n".join([",".join(header)] + [format_row(row) for row in rows]) + "\n"
 
 
 def chain_snapshots(step_matrices: list[np.ndarray]) -> np.ndarray:

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import population_rows_loop
+from oracles import csv_text, population_rows_loop
 from sfqctrl import driver
 from sfqctrl.cli import main
 from sfqctrl.driver import (
@@ -164,6 +164,11 @@ class TestRunOptimize:
         conv = res.files["convergence"].read_text().strip().splitlines()
         assert conv[0] == "iter,J,J1,J2,Delta,rho,accepted"
         assert len(conv) >= 2
+        records = res.result.best_trace.records
+        assert res.files["convergence"].read_text() == csv_text(
+            conv[0].split(","),
+            [[r.iteration, r.j, r.j1, r.j2, r.delta, r.rho, int(r.accepted)] for r in records],
+        )
 
         summary = res.files["summary"].read_text()
         for token in ("gate=", "J1=", "J2=", "max_pop_top_level="):
@@ -175,8 +180,28 @@ class TestRunOptimize:
         traj = propagate(PulseSequence.random(37, np.random.default_rng(37)), precompute_propagators(cfg))
         header, rows = driver.population_rows(traj, cfg)
         driver._write_csv(tmp_path / "rows.csv", header, rows)
-        driver._write_csv(tmp_path / "loop.csv", header, population_rows_loop(traj, cfg))
-        assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+        assert (tmp_path / "rows.csv").read_text() == csv_text(header, population_rows_loop(traj, cfg))
+
+    def test_csv_formatting_matches_per_value_oracle(self, tmp_path):
+        # convergence.csv: int iteration, Delta and accepted columns, a NaN rho
+        # on a terminal row; sweep.csv: int p.  Extremes of the %.12e format too.
+        tables = [
+            (
+                ["iter", "J", "J1", "J2", "Delta", "rho", "accepted"],
+                [
+                    [0, 0.5, 0.25, 25.0, 24, 1.25, 1],
+                    [1, 1e-300, -0.0, 3.0e5, 10**12, -7.5, 0],
+                    [2, 1 / 3, np.inf, np.float64(2.0) / 3, 0, np.nan, 0],
+                ],
+            ),
+            (
+                ["p", "T_ns", "best_J1", "best_J2", "best_J"],
+                [[8, 0.2, 0.9, 1e-3, 0.90001], [16, 0.4, 1.2e-5, 7e-4, 1.9e-5]],
+            ),
+        ]
+        for header, rows in tables:
+            driver._write_csv(tmp_path / "t.csv", header, rows)
+            assert (tmp_path / "t.csv").read_text() == csv_text(header, rows)
 
     def test_unknown_gate_fails_before_precompute(self, tmp_path, monkeypatch):
         calls = []
@@ -209,6 +234,7 @@ class TestRunSweep:
         text = path.read_text().strip().splitlines()
         assert text[0] == "p,T_ns,best_J1,best_J2,best_J"
         assert len(text) == 3
+        assert path.read_text() == csv_text(text[0].split(","), rows)
 
     def test_one_evaluator_per_sweep(self, tmp_path, monkeypatch):
         built = []
@@ -280,9 +306,25 @@ class TestSimulate:
 
     def test_bad_barcode_rejected(self, tmp_path):
         bad = tmp_path / "bad.txt"
-        bad.write_text("0120\n")
-        with pytest.raises(ParseError):
-            run_simulate(fast_spec(tmp_path), bad)
+        for text in ("0120\n", "01 10\n", "0110\n1\n", "\n"):
+            bad.write_text(text)
+            with pytest.raises(ParseError, match="must hold one line over"):
+                run_simulate(fast_spec(tmp_path), bad)
+
+    def test_forward_only_precompute_writes_the_same_files(self, tmp_path, monkeypatch):
+        barcode = tmp_path / "word.txt"
+        barcode.write_text(PulseSequence.random(200, np.random.default_rng(3)).to_string() + "\n")
+        spec = fast_spec(tmp_path / "forward", substeps=10_000, theta_over_pi=1 / 300)
+        calls = []
+        precompute = driver.precompute_propagators
+        monkeypatch.setattr(
+            driver, "precompute_propagators", lambda cfg, **kw: calls.append(kw) or precompute(cfg, **kw)
+        )
+        forward = run_simulate(spec, barcode)
+        assert calls == [{"with_sensitivity": False}]
+        full = run_simulate(replace(spec, output_dir=tmp_path / "full"), barcode, props=precompute(spec.system))
+        for key in ("populations", "summary"):
+            assert forward.files[key].read_bytes() == full.files[key].read_bytes()
 
     def test_identity_gate_free_evolution(self, tmp_path):
         # All-zeros barcode under free evolution: every level keeps its
@@ -385,6 +427,16 @@ class TestCli:
     def test_non_finite_or_out_of_range_exit_one(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"substeps = 400\np = 8\nn_restarts = 1\n{line}\n")
+        assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["omega_over_2pi_ghz", "xi_over_2pi_ghz", "theta_over_pi"])
+    def test_unresolvable_drift_or_tip_angle_exit_one(self, tmp_path, capsys, key):
+        # At 1e300 the per-substep drift phase (or the tip angle) has lost every
+        # digit, so no J computed from it would mean anything.
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(f"substeps = 50\np = 8\nn_restarts = 1\n{key} = 1e300\n")
         assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

@@ -13,7 +13,9 @@ from sfqctrl.model import (
     TWO_PI,
     _drift_step,
     _integrate_amplitude,
+    _sensitivity_at_zero,
     build_drift_hamiltonian,
+    drift_levels,
     lowering_operator,
     precompute_propagators,
     pulse_shape,
@@ -116,6 +118,27 @@ class TestConfig:
             with pytest.raises(ValidationError) as err:
                 SystemConfig(**{key: value})
             assert err.value.key == key
+
+    def test_tip_angle_at_most_pi(self):
+        assert SystemConfig(theta=np.pi).theta == np.pi
+        with pytest.raises(ValidationError) as err:
+            SystemConfig(theta=np.pi * (1 + 1e-12))
+        assert err.value.key == "theta"
+
+    def test_substep_resolves_drift_phase(self):
+        # One substep of the whole 25 ps step: h*h_3 = 0.025 * 2pi * 14.25 ~ 2.24 < pi.
+        cfg = SystemConfig(substeps=1)
+        assert 2.2 < cfg.tau_p * np.abs(drift_levels(cfg)).max() < np.pi
+        # Ten substeps at a 1e300 GHz qubit (or anharmonicity) lose every digit of
+        # the phase; 1e308 overflows the levels to inf and nan.
+        for key in ("omega", "xi"):
+            for value in (TWO_PI * 1e300, 1e308):
+                with pytest.raises(ValidationError) as err:
+                    SystemConfig(substeps=10, **{key: value})
+                assert err.value.key == "substeps"
+        with pytest.raises(ValidationError) as err:
+            SystemConfig(omega=1e308, xi=1e308)
+        assert err.value.key == "substeps"
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -247,8 +270,62 @@ class TestSupportOnlyIntegration:
             return eigh(m)
 
         monkeypatch.setattr("sfqctrl.model.np.linalg.eigh", spy)
-        for _ in range(2):
+        for with_sensitivity in (True, False):
             batches.clear()
-            precompute_propagators(paper_cfg)
-            # delta / tau_p = 0.16 of 10000 substeps, once per amplitude (1 and 0).
-            assert batches == [1600, 1600]
+            precompute_propagators(paper_cfg, with_sensitivity=with_sensitivity)
+            # delta / tau_p = 0.16 of 10000 substeps, for D1 (and B1) only:
+            # D0 is closed-form and B0 needs no eigendecomposition.
+            assert batches == [1600]
+
+
+class TestSensitivityAtZero:
+    """B0 without an eigendecomposition, against the integrator at alpha = 0 as the oracle."""
+
+    @staticmethod
+    def assert_matches_integrated(cfg):
+        b0_ref = _integrate_amplitude(cfg, 0.0, with_sensitivity=True)[1]
+        assert np.abs(_sensitivity_at_zero(cfg) - b0_ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("substeps", [1, 2, 7, 400, 10_000])
+    def test_matches_integrated(self, substeps):
+        self.assert_matches_integrated(SystemConfig(substeps=substeps))
+
+    @settings(max_examples=20, deadline=None)
+    @given(delta=st.floats(min_value=0.0, max_value=SystemConfig().tau_p, exclude_min=True))
+    @example(delta=SystemConfig().tau_p)
+    @example(delta=5e-324)
+    def test_matches_integrated_for_any_pulse_duration(self, delta):
+        self.assert_matches_integrated(SystemConfig(delta=delta, substeps=400))
+
+    def test_precompute_uses_it(self, paper_cfg, paper_props):
+        np.testing.assert_array_equal(paper_props.b0, _sensitivity_at_zero(paper_cfg))
+
+
+class TestForwardOnlySet:
+    @pytest.mark.parametrize("substeps", [400, 2000, 10_000])
+    @pytest.mark.parametrize("theta_over_pi", [1 / 300, 1 / 100, 1.03 / 300])
+    def test_same_propagators_no_sensitivities(self, substeps, theta_over_pi):
+        cfg = SystemConfig(substeps=substeps, theta=np.pi * theta_over_pi)
+        full = precompute_propagators(cfg)
+        forward = precompute_propagators(cfg, with_sensitivity=False)
+        np.testing.assert_array_equal(forward.d0, full.d0)
+        np.testing.assert_array_equal(forward.d1, full.d1)
+        assert forward.b0 is None and forward.b1 is None
+        assert not forward.d1.flags.writeable
+
+    @pytest.mark.parametrize("n_levels", [2, 3, 5, 6])
+    def test_same_d1_at_any_level_count(self, n_levels):
+        # Both sets take D1 from the chain of the steps alone, not from the
+        # D block of the joint chain (whose products round differently at
+        # N = 3 and 5), so they match bit for bit at every level count.
+        cfg = SystemConfig(n_levels=n_levels, guard_weights=(1.0,) * (n_levels - 2), substeps=2000)
+        forward = precompute_propagators(cfg, with_sensitivity=False)
+        np.testing.assert_array_equal(forward.d1, precompute_propagators(cfg).d1)
+
+    def test_unitarity_gate_still_runs(self, monkeypatch):
+        bad = np.eye(4, dtype=complex) * 1.5
+        monkeypatch.setattr(
+            "sfqctrl.model._integrate_amplitude", lambda cfg, alpha, with_sensitivity=False: (bad, None)
+        )
+        with pytest.raises(IntegratorDivergence):
+            precompute_propagators(SystemConfig(substeps=50), with_sensitivity=False)

@@ -186,3 +186,12 @@ class TestTotalObjective:
         assert j2 == 0.0
         assert j1 == pytest.approx(expected, abs=1e-10)
         assert j == pytest.approx(expected, abs=1e-10)
+
+    def test_forward_only_set_forms_j_not_gradient(self, fast_cfg, fast_props, rng):
+        target = GateTarget.from_essential(H_GATE, 4)
+        forward = ObjectiveEvaluator(precompute_propagators(fast_cfg, with_sensitivity=False), target, fast_cfg)
+        seq = PulseSequence.random(10, rng)
+        j, j1, j2, traj = forward.objective(seq)
+        assert (j, j1, j2) == ObjectiveEvaluator(fast_props, target, fast_cfg).objective(seq)[:3]
+        with pytest.raises(ValueError, match="forward-only"):
+            forward.gradient(seq, traj)
