@@ -9,7 +9,7 @@ from .driver import (
     run_simulate,
     run_sweep,
 )
-from .errors import IntegratorDivergence, NonUnitaryTarget, ParseError, ValidationError
+from .errors import IntegratorDivergence, NonFiniteObjective, NonUnitaryTarget, ParseError, ValidationError
 from .model import SystemConfig, precompute_propagators, unitarity_defect
 from .objective import PulseSequence
 from .trustregion import ObjectiveEvaluator, multi_restart
@@ -17,6 +17,7 @@ from .trustregion import ObjectiveEvaluator, multi_restart
 __all__ = [
     "ExperimentSpec",
     "IntegratorDivergence",
+    "NonFiniteObjective",
     "NonUnitaryTarget",
     "ObjectiveEvaluator",
     "ParseError",

@@ -13,7 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import driver
-from .errors import IntegratorDivergence, NonUnitaryTarget, ParseError, ValidationError
+from .errors import IntegratorDivergence, NonFiniteObjective, NonUnitaryTarget, ParseError, ValidationError
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -117,7 +117,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, ValidationError, NonUnitaryTarget, FileNotFoundError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (IntegratorDivergence, OSError) as exc:
+    except (IntegratorDivergence, NonFiniteObjective, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -10,6 +10,9 @@ counts and collect the best objective values per duration.
 
 from __future__ import annotations
 
+import itertools
+import os
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -195,12 +198,27 @@ def gate_target(gate: str, n_levels: int) -> GateTarget:
     return GateTarget.from_essential(_read_matrix_file(path), n_levels)
 
 
+def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
+    """Write the text chunks to a sibling temp file, then rename it onto path.
+
+    Every artifact goes through here, so a run that fails part-way through a
+    write leaves the file that was there intact and no temp file behind.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as f:
+            f.write("".join(chunks))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     """Write header and rows: float columns as %.12e, int columns as %d, typed by the first row."""
-    fmt = ",".join("%.12e" if isinstance(v, float) else "%d" for v in rows[0])
-    lines = [",".join(header)]
-    lines.extend(fmt % tuple(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    fmt = ",".join("%.12e" if isinstance(v, float) else "%d" for v in rows[0]) + "\n"
+    # Rows are formatted inside the atomic write, so a row that cannot be formatted leaves the old file.
+    _write_atomic(path, itertools.chain([",".join(header) + "\n"], (fmt % tuple(row) for row in rows)))
 
 
 def population_rows(traj: ForwardTrajectory, cfg: SystemConfig) -> tuple[list[str], list[list]]:
@@ -247,7 +265,7 @@ def _write_trajectory_files(
         f"gate={spec.gate} p={traj.p} T_ns={traj.p * spec.system.tau_p:.6g} {details}"
         f"J={j:.12e} J1={j1:.12e} J2={j2:.12e} max_pop_top_level={top_pop:.12e}"
     )
-    files["summary"].write_text(summary + "\n")
+    _write_atomic(files["summary"], [summary + "\n"])
     return OptimizeResult(spec=spec, result=result, j=j, j1=j1, j2=j2, max_top_pop=top_pop, files=files)
 
 
@@ -283,7 +301,7 @@ def run_optimize(spec: ExperimentSpec, props=None) -> OptimizeResult:
         "convergence": out / "convergence.csv",
         "summary": out / "summary.txt",
     }
-    files["pulse_sequence"].write_text(result.best_alpha.to_string() + "\n")
+    _write_atomic(files["pulse_sequence"], [result.best_alpha.to_string() + "\n"])
     conv_rows = [
         [r.iteration, r.j, r.j1, r.j2, r.delta, r.rho, int(r.accepted)]
         for r in result.best_trace.records

@@ -8,6 +8,14 @@ class IntegratorDivergence(ArithmeticError):
     """
 
 
+class NonFiniteObjective(ArithmeticError):
+    """The objective J or an entry of its gradient is NaN or infinite.
+
+    A non-finite value cannot rank trust-region steps, so the run stops
+    rather than treating it as a rejected step or a non-improving flip.
+    """
+
+
 class ParseError(ValueError):
     """A config or matrix file could not be parsed; carries the offending line."""
 

@@ -50,6 +50,7 @@ eigendecompositions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -61,6 +62,9 @@ TWO_PI = 2.0 * np.pi
 # Gauss-Legendre nodes on [0, 1] for the fourth-order Magnus step.
 _GAUSS_LO = 0.5 - np.sqrt(3.0) / 6.0
 _GAUSS_HI = 0.5 + np.sqrt(3.0) / 6.0
+
+# Pulses per lookup of PropagatorSet.byte_prefixes: one byte of a word packed by np.packbits.
+BYTE_BITS = 8
 
 
 @dataclass(frozen=True)
@@ -164,6 +168,29 @@ class PropagatorSet:
     @property
     def dim(self) -> int:
         return self.d0.shape[0]
+
+    @cached_property
+    def byte_prefixes(self) -> np.ndarray:
+        """Read-only (256, 8, N, N) table: [b, i] = D_{b_i} ... D_{b_0} over the little-endian bits of b.
+
+        Built on first use, not with the set: a set made to propagate one word
+        once would pay for the table without amortizing it.  Three doubling
+        steps turn the prefixes of all words of length L into those of length
+        2L: a word's low half keeps its prefixes and its high half's prefixes
+        are right-multiplied by the low half's total.  Those products are one
+        GEMM of every prefix (stacked as rows) by every total (side by side),
+        far cheaper than as many batched N x N complex products.
+        """
+        dim = self.dim
+        table = np.stack([self.d0, self.d1])[:, None]
+        while table.shape[1] < BYTE_BITS:
+            n, length = table.shape[:2]
+            totals = table[:, -1].transpose(1, 0, 2).reshape(dim, n * dim)
+            high = (table.reshape(n * length * dim, dim) @ totals).reshape(n, length, dim, n, dim)
+            low = np.broadcast_to(table, (n, *table.shape))
+            table = np.concatenate([low, high.transpose(0, 3, 1, 2, 4)], axis=2).reshape(n * n, 2 * length, dim, dim)
+        table.setflags(write=False)
+        return table
 
 
 def lowering_operator(n_levels: int) -> np.ndarray:

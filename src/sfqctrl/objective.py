@@ -107,38 +107,48 @@ class ForwardTrajectory:
 
 
 def propagate(alpha: PulseSequence, props: PropagatorSet) -> ForwardTrajectory:
-    """Multiply out U_j = D_{a_j} ... D_{a_1}; U_0 = I, as a sqrt(p)-blocked prefix product.
+    """Multiply out U_j = D_{a_j} ... D_{a_1}; U_0 = I, by table lookup and blocked prefixes.
 
-    The word is cut into m chunks of L ~ sqrt(p) steps, the last one padded.
-    The chunks advance in lockstep, one batched product per position; a
-    short pass of m products forms the chunk prefixes; one batched fix-up
-    multiplies every chunk by its prefix.  That is O(p) work in O(sqrt(p))
-    numpy calls.  The full stack U_0..U_p is kept for leakage and gradient
-    evaluation.
+    The word is packed into m = ceil(p/8) bytes, the last one padded.  One
+    gather from props.byte_prefixes gives every step's product within its
+    byte, the m byte prefixes come from the byte totals (_prefix_products),
+    and one batched fix-up multiplies every byte by its prefix: O(p) work in
+    O(sqrt(p/8)) numpy calls.  The full stack U_0..U_p is kept for leakage
+    and gradient evaluation.
     """
-    p, dim = len(alpha), props.dim
-    size = round(p**0.5)
-    chunks = -(-p // size)
     # Padding bits past p only feed rows that are cut off at the end.
-    bits = np.zeros(chunks * size, dtype=bool)
-    bits[:p] = alpha.bits
-    local = np.where(bits[:, None, None], props.d1, props.d0).reshape(chunks, size, dim, dim)
+    local = props.byte_prefixes[np.packbits(alpha.bits, bitorder="little")]
+    snaps = _apply_prefixes(local, _prefix_products(local[:-1, -1]))[: len(alpha) + 1]
+    snaps.setflags(write=False)
+    return ForwardTrajectory(snapshots=snaps)
+
+
+def _apply_prefixes(local: np.ndarray, prefixes: np.ndarray) -> np.ndarray:
+    """I, then every row of block local[k] times prefixes[k], as one (size*N x N) product per block."""
+    blocks, size, dim = local.shape[:3]
+    out = np.empty((blocks * size + 1, dim, dim), dtype=complex)
+    out[0] = np.eye(dim)
+    np.matmul(local.reshape(blocks, size * dim, dim), prefixes, out=out[1:].reshape(blocks, size * dim, dim))
+    return out
+
+
+def _prefix_products(mats: np.ndarray) -> np.ndarray:
+    """The n+1 prefixes I, M_0, M_1 M_0, ... of a stack of n matrices, sqrt(n)-blocked.
+
+    Chunks of L ~ sqrt(n) matrices, the last one padded, advance in
+    lockstep, one batched product per position; a short pass forms the
+    chunk prefixes, and one fix-up applies them.
+    """
+    n, dim = mats.shape[0], mats.shape[-1]
+    size = max(1, round(n**0.5))
+    local = np.zeros((-(-n // size), size, dim, dim), dtype=complex)
+    local.reshape(-1, dim, dim)[:n] = mats
     for i in range(1, size):
         np.matmul(local[:, i], local[:, i - 1], out=local[:, i])
     prefix = [np.eye(dim)]
     for total in local[:-1, -1]:
         prefix.append(total @ prefix[-1])
-    # Stacking the rows of a chunk makes its fix-up a single (size*dim x dim) product.
-    snaps = np.empty((chunks * size + 1, dim, dim), dtype=complex)
-    snaps[0] = np.eye(dim)
-    np.matmul(
-        local.reshape(chunks, size * dim, dim),
-        np.array(prefix),
-        out=snaps[1:].reshape(chunks, size * dim, dim),
-    )
-    snaps = snaps[: p + 1]
-    snaps.setflags(write=False)
-    return ForwardTrajectory(snapshots=snaps)
+    return _apply_prefixes(local, np.array(prefix))[: n + 1]
 
 
 def overlap(final: np.ndarray, target: GateTarget) -> complex:

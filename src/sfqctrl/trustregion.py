@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .adjoint import fused_sweep
-from .errors import ValidationError
+from .errors import NonFiniteObjective, ValidationError
 from .model import PropagatorSet, SystemConfig
 from .objective import (
     ForwardTrajectory,
@@ -90,10 +90,13 @@ class ObjectiveEvaluator:
         self._weights = guard_weight_vector(cfg)
 
     def evaluate(self, traj: ForwardTrajectory) -> tuple[float, float, float]:
-        """(J, J1, J2) of a propagated trajectory."""
+        """(J, J1, J2) of a propagated trajectory; raises NonFiniteObjective if J is not finite."""
         j1 = infidelity(traj.final, self.target)
         j2 = leakage(traj, self._weights, self.cfg.n_essential)
-        return j1 + self.cfg.c1 * j2, j1, j2
+        j = j1 + self.cfg.c1 * j2
+        if not np.isfinite(j):
+            raise NonFiniteObjective(f"objective is not finite: J1 = {j1!r}, J2 = {j2!r}")
+        return j, j1, j2
 
     def objective(self, alpha: PulseSequence) -> tuple[float, float, float, ForwardTrajectory]:
         """(J, J1, J2) of a pulse word, plus its trajectory for the gradient."""
@@ -101,14 +104,21 @@ class ObjectiveEvaluator:
         return (*self.evaluate(traj), traj)
 
     def gradient(self, alpha: PulseSequence, traj: ForwardTrajectory) -> np.ndarray:
-        """Relaxed gradient dJ/dalpha; needs a propagator set with B0 and B1."""
+        """Relaxed gradient dJ/dalpha; needs a propagator set with B0 and B1.
+
+        Raises NonFiniteObjective if any entry is not finite.
+        """
         if self.props.b0 is None or self.props.b1 is None:
             raise ValueError(
                 "the propagator set is forward-only (precomputed with with_sensitivity=False); "
                 "the gradient needs B0 and B1"
             )
         g1, g2 = fused_sweep(traj, alpha, self.props, self.target, self._weights)
-        return g1 + self.cfg.c1 * g2
+        g = g1 + self.cfg.c1 * g2
+        bad = np.count_nonzero(~np.isfinite(g))
+        if bad:
+            raise NonFiniteObjective(f"gradient has {bad} non-finite entries out of {g.size}")
+        return g
 
 
 def solve_subproblem(alpha_k: PulseSequence, g: np.ndarray, radius: int) -> PulseSequence:

@@ -197,8 +197,9 @@ class TestComplexity:
     def test_gradient_cost_linear_in_p(self, fast_cfg, fast_props, target):
         # O(p) work in O(sqrt(p)) interpreter steps, counted rather than
         # timed: the sweep takes a fixed number of steps, the forward product
-        # a few per lockstep position and chunk (~sqrt(p) of each), and the
-        # sweep's memory grows like p.
+        # one table gather and a few steps per lockstep position and chunk of
+        # the p/8 byte totals (~sqrt(p/8) of each), and the sweep's memory
+        # grows like p.
         sizes = [1000, 2000, 4000, 8000]
         rng = np.random.default_rng(0)
         seqs = {p: PulseSequence(rng.integers(0, 2, size=p)) for p in sizes}

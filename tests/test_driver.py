@@ -20,7 +20,7 @@ from sfqctrl.driver import (
 )
 from sfqctrl.errors import NonUnitaryTarget, ParseError, ValidationError
 from sfqctrl.model import SystemConfig, TWO_PI, precompute_propagators
-from sfqctrl.objective import PulseSequence, propagate
+from sfqctrl.objective import ForwardTrajectory, PulseSequence, propagate
 from sfqctrl.trustregion import ObjectiveEvaluator
 
 FAST_KEYS = {"substeps": 400, "p": 24, "n_restarts": 2, "seed": 5}
@@ -202,6 +202,24 @@ class TestRunOptimize:
         for header, rows in tables:
             driver._write_csv(tmp_path / "t.csv", header, rows)
             assert (tmp_path / "t.csv").read_text() == csv_text(header, rows)
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            # The second row's %-formatting raises once the temp file is open.
+            lambda path: driver._write_csv(path, ["iter", "J"], [[0, 0.5], [1, "not a float"]]),
+            lambda path: driver._write_atomic(path, ["gate=", "\udcff\n"]),
+        ],
+        ids=["csv-row", "unencodable"],
+    )
+    def test_failed_write_keeps_the_old_file(self, tmp_path, write):
+        path = tmp_path / "artifact.csv"
+        driver._write_csv(path, ["iter", "J"], [[0, 0.25]])
+        before = path.read_bytes()
+        with pytest.raises((TypeError, UnicodeEncodeError)):
+            write(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact.csv"]
 
     def test_unknown_gate_fails_before_precompute(self, tmp_path, monkeypatch):
         calls = []
@@ -478,6 +496,15 @@ class TestCli:
         monkeypatch.setattr("sfqctrl.driver.run_optimize", explode)
         cfg = self._write_fast_config(tmp_path)
         assert main(["optimize", "--config", str(cfg)]) == 2
+
+    def test_non_finite_objective_exit_two(self, tmp_path, capsys, monkeypatch):
+        def nan_snapshots(alpha, props):
+            return ForwardTrajectory(np.full((len(alpha) + 1, props.dim, props.dim), np.nan, dtype=complex))
+
+        monkeypatch.setattr("sfqctrl.trustregion.propagate", nan_snapshots)
+        cfg = self._write_fast_config(tmp_path)
+        assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: objective is not finite")
 
     def test_grad_check_threshold_exit_three(self, tmp_path, monkeypatch):
         from sfqctrl.driver import GradCheckReport

@@ -329,3 +329,22 @@ class TestForwardOnlySet:
         )
         with pytest.raises(IntegratorDivergence):
             precompute_propagators(SystemConfig(substeps=50), with_sensitivity=False)
+
+
+class TestBytePrefixes:
+    def test_every_entry_is_the_sequential_product_of_its_bits(self, fast_props):
+        table = fast_props.byte_prefixes
+        assert table.shape == (256, 8, 4, 4)
+        for b in range(256):
+            u = np.eye(4, dtype=complex)
+            for i in range(8):
+                u = (fast_props.d1 if (b >> i) & 1 else fast_props.d0) @ u
+                assert np.abs(table[b, i] - u).max() <= 1e-14, (b, i)
+
+    def test_read_only_and_built_once(self, fast_cfg):
+        props = precompute_propagators(fast_cfg, with_sensitivity=False)
+        table = props.byte_prefixes
+        assert props.byte_prefixes is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0, 0, 0] = 0.0

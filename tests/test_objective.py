@@ -19,8 +19,14 @@ from sfqctrl.trustregion import ObjectiveEvaluator
 
 H_GATE = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 X_GATE = np.array([[0.0, 1.0], [1.0, 0.0]])
-# Word lengths at the edges of the sqrt(p) blocking: one step, perfect squares and their neighbours.
-BLOCK_EDGE_LENGTHS = sorted({1, 2, 200} | {n * n + d for n in range(2, 15) for d in (-1, 0, 1)})
+# Word lengths at the edges of the blocking: one step, perfect squares and their neighbours, byte
+# edges 8k-1, 8k, 8k+1, and 8n^2 +- 8, where the sqrt-blocked prefixes of the byte totals wrap.
+BLOCK_EDGE_LENGTHS = sorted(
+    {1, 2, 200}
+    | {n * n + d for n in range(2, 15) for d in (-1, 0, 1)}
+    | {8 * k + d for k in (1, 2, 3, 4, 25, 200) for d in (-1, 0, 1)}
+    | {8 * n * n + d for n in range(1, 16) for d in (-8, 0, 8)} - {0}
+)
 
 
 class TestPulseSequence:
@@ -92,6 +98,12 @@ class TestPropagate:
         assert traj.snapshots.shape == expected.shape
         assert np.abs(traj.snapshots - expected).max() <= 1e-13
         np.testing.assert_array_equal(traj.final, traj.snapshots[-1])
+
+    def test_forward_only_set_propagates_identically(self, fast_cfg, fast_props, rng):
+        forward = precompute_propagators(fast_cfg, with_sensitivity=False)
+        for p in (5, 8, 200, 1601):
+            seq = PulseSequence.random(p, rng)
+            np.testing.assert_array_equal(propagate(seq, forward).snapshots, propagate(seq, fast_props).snapshots)
 
     @settings(max_examples=20, deadline=None)
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=40))

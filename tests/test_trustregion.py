@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from oracles import adjoint_recursion, enumerate_ball_minimum, lattice_gradient
+from sfqctrl import trustregion
+from sfqctrl.errors import NonFiniteObjective
 from sfqctrl.model import SystemConfig, precompute_propagators
-from sfqctrl.objective import GateTarget, PulseSequence
+from sfqctrl.objective import ForwardTrajectory, GateTarget, PulseSequence
 from sfqctrl.trustregion import (
     ObjectiveEvaluator,
     TerminationReason,
@@ -192,6 +194,27 @@ class TestOptimize:
                 gains = np.where(alpha.bits == 0, g, -g)
                 assert gains.min() >= 0.0
         assert TerminationReason.NO_IMPROVING_FLIP in reasons
+
+    def test_non_finite_objective_or_gradient_is_an_error(self, small_evaluator, monkeypatch):
+        # A NaN J on a trial step would read as a rejection and a NaN gradient
+        # as no improving flip; either way the run would end as if it converged.
+        alpha0 = PulseSequence.random(24, np.random.default_rng(24))
+        real = trustregion.propagate
+        calls = []
+
+        def nan_after_first(alpha, props):
+            calls.append(alpha)
+            traj = real(alpha, props)
+            return traj if len(calls) == 1 else ForwardTrajectory(np.full_like(traj.snapshots, np.nan))
+
+        monkeypatch.setattr(trustregion, "propagate", nan_after_first)
+        with pytest.raises(NonFiniteObjective, match="objective"):
+            optimize(alpha0, small_evaluator)
+        assert len(calls) == 2
+        monkeypatch.setattr(trustregion, "propagate", real)
+        monkeypatch.setattr(trustregion, "fused_sweep", lambda *args: (np.full(24, np.nan), np.zeros(24)))
+        with pytest.raises(NonFiniteObjective, match="gradient"):
+            optimize(alpha0, small_evaluator)
 
     def test_reference_recursion_takes_the_same_steps(self, fast_cfg, fast_props, monkeypatch):
         # The closed-form gradient kernel and the step-by-step adjoint
