@@ -35,7 +35,7 @@ from .objective import (  # noqa: F401
     leakage,
     propagate,
 )
-from .trustregion import MultiRestartResult, ObjectiveEvaluator, multi_restart
+from .trustregion import RHO_HAT, MultiRestartResult, ObjectiveEvaluator, multi_restart
 
 GATE_ALIASES = {
     "h": "H",
@@ -55,26 +55,6 @@ _BUILTIN_GATES = {
     "Identity": np.eye(2),
 }
 
-_CONFIG_KEYS = (
-    "omega_over_2pi_ghz",
-    "xi_over_2pi_ghz",
-    "tau_p_ns",
-    "delta_ns",
-    "theta_over_pi",
-    "n_levels",
-    "n_essential",
-    "guard_weights",
-    "c1",
-    "substeps",
-    "gate",
-    "p",
-    "n_restarts",
-    "seed",
-    "rho_hat",
-    "delta0",
-)
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Everything needed to reproduce one optimization run."""
@@ -84,7 +64,7 @@ class ExperimentSpec:
     p: int = 1600
     n_restarts: int = 10
     seed: int = 1234
-    rho_hat: float = 0.75
+    rho_hat: float = RHO_HAT
     delta0: int | None = None
     output_dir: Path = Path(".")
     sweep: tuple[int, int, int] | None = None
@@ -96,6 +76,11 @@ class ExperimentSpec:
             raise ValidationError("need at least one restart", key="n_restarts")
         if self.seed < 0:
             raise ValidationError("seed must be nonnegative", key="seed")
+        try:
+            self.gate.encode()
+        except UnicodeEncodeError:
+            # A path argument holding a non-UTF-8 byte: it may load, but no summary line can name it.
+            raise ValidationError("gate name or path must be encodable as UTF-8", key="gate") from None
         if not 0.0 < self.rho_hat < 1.0:
             raise ValidationError("acceptance ratio must lie in (0, 1)", key="rho_hat")
         if self.delta0 is not None and self.delta0 < 1:
@@ -106,17 +91,31 @@ class ExperimentSpec:
                 raise ValidationError("sweep grid must satisfy 1 <= p_min <= p_max, stride >= 1", key="sweep")
 
 
-def _parse_value(key: str, raw: str, line_no: int):
-    try:
-        if key in ("n_levels", "n_essential", "substeps", "p", "n_restarts", "seed", "delta0"):
-            return int(raw)
-        if key == "guard_weights":
-            return tuple(float(tok) for tok in raw.replace(",", " ").split())
-        if key == "gate":
-            return raw
-        return float(raw)
-    except ValueError as exc:
-        raise ParseError(f"cannot parse value for '{key}': {raw!r} ({exc})", line_no) from None
+def _parse_weights(raw: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in raw.replace(",", " ").split())
+
+
+# Each config key: the parser of its text value, the SystemConfig or
+# ExperimentSpec field it sets and the unit factor to that field (None: as
+# parsed, so int fields stay int).  The defaults live in those two classes.
+_CONFIG_SCHEMA = {
+    "omega_over_2pi_ghz": (float, SystemConfig, "omega", TWO_PI),
+    "xi_over_2pi_ghz": (float, SystemConfig, "xi", TWO_PI),
+    "tau_p_ns": (float, SystemConfig, "tau_p", None),
+    "delta_ns": (float, SystemConfig, "delta", None),
+    "theta_over_pi": (float, SystemConfig, "theta", np.pi),
+    "n_levels": (int, SystemConfig, "n_levels", None),
+    "n_essential": (int, SystemConfig, "n_essential", None),
+    "guard_weights": (_parse_weights, SystemConfig, "guard_weights", None),
+    "c1": (float, SystemConfig, "c1", None),
+    "substeps": (int, SystemConfig, "substeps", None),
+    "gate": (str, ExperimentSpec, "gate", None),
+    "p": (int, ExperimentSpec, "p", None),
+    "n_restarts": (int, ExperimentSpec, "n_restarts", None),
+    "seed": (int, ExperimentSpec, "seed", None),
+    "rho_hat": (float, ExperimentSpec, "rho_hat", None),
+    "delta0": (int, ExperimentSpec, "delta0", None),
+}
 
 
 def parse_config_text(text: str) -> dict:
@@ -131,39 +130,28 @@ def parse_config_text(text: str) -> dict:
         key, _, raw = stripped.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _CONFIG_SCHEMA:
             raise ParseError(f"unknown key '{key}'", line_no)
         if not raw:
             raise ParseError(f"empty value for '{key}'", line_no)
-        values[key] = _parse_value(key, raw, line_no)
+        try:
+            values[key] = _CONFIG_SCHEMA[key][0](raw)
+        except ValueError as exc:
+            raise ParseError(f"cannot parse value for '{key}': {raw!r} ({exc})", line_no) from None
     return values
 
 
 def spec_from_values(values: dict, output_dir: Path | None = None) -> ExperimentSpec:
-    """Build an ExperimentSpec from parsed config values plus defaults."""
-    base = SystemConfig()
-    system = SystemConfig(
-        omega=TWO_PI * values.get("omega_over_2pi_ghz", base.omega / TWO_PI),
-        xi=TWO_PI * values.get("xi_over_2pi_ghz", base.xi / TWO_PI),
-        tau_p=values.get("tau_p_ns", base.tau_p),
-        delta=values.get("delta_ns", base.delta),
-        theta=np.pi * values.get("theta_over_pi", base.theta / np.pi),
-        n_levels=values.get("n_levels", base.n_levels),
-        n_essential=values.get("n_essential", base.n_essential),
-        guard_weights=values.get("guard_weights", base.guard_weights),
-        c1=values.get("c1", base.c1),
-        substeps=values.get("substeps", base.substeps),
-    )
-    return ExperimentSpec(
-        system=system,
-        gate=values.get("gate", "H"),
-        p=values.get("p", 1600),
-        n_restarts=values.get("n_restarts", 10),
-        seed=values.get("seed", 1234),
-        rho_hat=values.get("rho_hat", 0.75),
-        delta0=values.get("delta0"),
-        output_dir=output_dir if output_dir is not None else Path("."),
-    )
+    """ExperimentSpec from config values: unknown keys raise ValidationError, missing ones keep defaults."""
+    fields: dict = {SystemConfig: {}, ExperimentSpec: {}}
+    for key, value in values.items():
+        if key not in _CONFIG_SCHEMA:
+            raise ValidationError("not a config key", key=key)
+        _, owner, name, unit = _CONFIG_SCHEMA[key]
+        fields[owner][name] = value if unit is None else unit * value
+    if output_dir is not None:
+        fields[ExperimentSpec]["output_dir"] = output_dir
+    return ExperimentSpec(system=SystemConfig(**fields[SystemConfig]), **fields[ExperimentSpec])
 
 
 def load_config(path: str | Path, output_dir: Path | None = None) -> ExperimentSpec:

@@ -28,6 +28,11 @@ from .objective import (
     propagate,
 )
 
+# Defaults: the ratio above which a full-radius step doubles the radius, and
+# the iteration cap of one optimize run.
+RHO_HAT = 0.75
+MAX_ITER = 500
+
 
 class TerminationReason(enum.Enum):
     ZERO_GRADIENT = "zero_gradient"
@@ -157,7 +162,7 @@ def _terminal(state: TrustRegionState, reason: TerminationReason) -> tuple[Trust
 def tr_step(
     state: TrustRegionState,
     evaluator: ObjectiveEvaluator,
-    rho_hat: float = 0.75,
+    rho_hat: float = RHO_HAT,
 ) -> tuple[TrustRegionState, IterationRecord]:
     """One trust-region iteration; returns the successor state and its record.
 
@@ -172,9 +177,7 @@ def tr_step(
 
     alpha_hat = solve_subproblem(state.alpha, state.gradient, state.radius)
     step = int(np.sum(alpha_hat.bits != state.alpha.bits))
-    if step == 0:
-        return _terminal(state, TerminationReason.NO_IMPROVING_FLIP)
-
+    # With no improving flip alpha_hat is state.alpha and the predicted reduction is -0.0.
     predicted = -float(state.gradient @ (alpha_hat.bits.astype(float) - state.alpha.bits.astype(float)))
     if predicted <= 0.0:
         return _terminal(state, TerminationReason.NO_IMPROVING_FLIP)
@@ -215,8 +218,8 @@ def optimize(
     alpha0: PulseSequence,
     evaluator: ObjectiveEvaluator,
     delta0: int | None = None,
-    rho_hat: float = 0.75,
-    max_iter: int = 500,
+    rho_hat: float = RHO_HAT,
+    max_iter: int = MAX_ITER,
 ) -> tuple[PulseSequence, OptimizationTrace]:
     """Run trust-region iterations from alpha0 until the radius drops below 1.
 
@@ -279,8 +282,8 @@ def multi_restart(
     p: int,
     evaluator: ObjectiveEvaluator,
     delta0: int | None = None,
-    rho_hat: float = 0.75,
-    max_iter: int = 500,
+    rho_hat: float = RHO_HAT,
+    max_iter: int = MAX_ITER,
 ) -> MultiRestartResult:
     """Optimize from n_restarts seeded uniform-random initial sequences.
 

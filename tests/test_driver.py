@@ -1,11 +1,13 @@
+import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import csv_text, population_rows_loop
 from sfqctrl import driver
-from sfqctrl.cli import main
+from sfqctrl.cli import _FLAG_KEYS, main
 from sfqctrl.driver import (
     ExperimentSpec,
     fd_gradient,
@@ -48,6 +50,8 @@ class TestConfigParsing:
         assert spec.rho_hat == 0.75
         assert spec.delta0 is None  # resolves to p downstream
         assert spec.p == 1600 and spec.n_restarts == 10
+        # SystemConfig and ExperimentSpec hold the only defaults.
+        assert spec == spec_from_values({}) == ExperimentSpec(system=SystemConfig())
 
     def test_beta_derivation(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -63,8 +67,8 @@ class TestConfigParsing:
             "tau_p_ns = 0.02\n"
             "delta_ns = 0.003\n"
             "theta_over_pi = 0.01\n"
-            "n_levels = 4\n"
-            "n_essential = 2\n"
+            "n_levels = 5\n"
+            "n_essential = 3\n"
             "guard_weights = 0.2, 0.9\n"
             "c1 = 0.02\n"
             "substeps = 1000\n"
@@ -75,11 +79,17 @@ class TestConfigParsing:
             "rho_hat = 0.5\n"
             "delta0 = 100\n"
         )
+        assert set(parse_config_text(path.read_text())) == set(driver._CONFIG_SCHEMA)
         spec = load_config(path)
-        assert spec.system.omega == pytest.approx(TWO_PI * 4.8)
-        assert spec.system.guard_weights == (0.2, 0.9)
-        assert spec.gate == "X" and spec.p == 800 and spec.seed == 42
+        system = spec.system
+        # Every value differs from its default, so a key that missed its field would show.
+        assert (system.omega, system.xi, system.theta) == (TWO_PI * 4.8, TWO_PI * 0.2, np.pi * 0.01)
+        assert (system.tau_p, system.delta, system.c1) == (0.02, 0.003, 0.02)
+        assert (system.n_levels, system.n_essential, system.guard_weights, system.substeps) == (5, 3, (0.2, 0.9), 1000)
+        assert (spec.gate, spec.p, spec.n_restarts, spec.seed) == ("X", 800, 3, 42)
         assert spec.rho_hat == 0.5 and spec.delta0 == 100
+        counts = (system.n_levels, system.n_essential, system.substeps, spec.p, spec.n_restarts, spec.seed, spec.delta0)
+        assert all(type(v) is int for v in counts)
 
     def test_malformed_line_reports_number(self):
         with pytest.raises(ParseError) as err:
@@ -90,6 +100,17 @@ class TestConfigParsing:
         with pytest.raises(ParseError) as err:
             parse_config_text("pp = 10\n")
         assert "pp" in str(err.value)
+        # The library path checks the keys too, rather than running on defaults.
+        with pytest.raises(ValidationError) as err:
+            spec_from_values({"theta_over_pi": 0.5, "pp": 3})
+        assert err.value.key == "pp"
+
+    def test_readme_table_lists_the_schema_keys(self):
+        # The README table is the one copy of the defaults outside the code.
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+        keys = [line.split("`")[1] for line in section.splitlines() if line.startswith("| `")]
+        assert sorted(keys) == sorted(driver._CONFIG_SCHEMA)
 
     def test_bad_value_type(self):
         with pytest.raises(ParseError):
@@ -99,6 +120,12 @@ class TestConfigParsing:
         with pytest.raises(ValidationError) as err:
             spec_from_values({"guard_weights": (0.1,)})
         assert err.value.key == "guard_weights"
+
+    def test_unencodable_gate_rejected(self):
+        # A path argument with a non-UTF-8 byte decodes to a lone surrogate, which no summary line can hold.
+        with pytest.raises(ValidationError) as err:
+            spec_from_values({"gate": os.fsdecode(b"g\xff.mat")})
+        assert err.value.key == "gate"
 
 
 class TestGateTargets:
@@ -393,6 +420,7 @@ class TestCli:
         assert "gate=X" in out and "p=16" in out
         spec = specs[0]
         assert (spec.gate, spec.p, spec.n_restarts, spec.seed) == ("X", 16, 1, 9)
+        assert set(_FLAG_KEYS) <= set(driver._CONFIG_SCHEMA)
         # The tip-angle flag replaces theta and its derived fields only.
         system = spec.system
         assert system.theta == pytest.approx(0.01 * np.pi)
@@ -470,9 +498,11 @@ class TestCli:
             ["optimize", "--config", "not_utf8.txt"],
             ["optimize", "--config", "fast.cfg", "--gate", "not_utf8.txt"],
             ["simulate", "not_utf8.txt", "--config", "fast.cfg"],
+            ["simulate", "word.txt", "--config", "fast.cfg", "--gate", os.fsdecode(b"g\xff.mat")],
         ],
         ids=[
-            "seed-flag", "seed-file", "p-check", "h-zero", "h-nan", "config-utf8", "matrix-utf8", "barcode-utf8"
+            "seed-flag", "seed-file", "p-check", "h-zero", "h-nan", "config-utf8", "matrix-utf8", "barcode-utf8",
+            "gate-path-utf8",
         ],
     )
     def test_bad_input_exit_one(self, tmp_path, capsys, monkeypatch, argv):
@@ -480,6 +510,9 @@ class TestCli:
         self._write_fast_config(tmp_path)
         (tmp_path / "negative_seed.cfg").write_text("substeps = 400\np = 8\nn_restarts = 1\nseed = -1\n")
         (tmp_path / "not_utf8.txt").write_bytes(b"\xff\n")
+        # A valid gate file and barcode: only the gate path's byte is wrong.
+        (tmp_path / os.fsdecode(b"g\xff.mat")).write_text("0 1\n1 0\n")
+        (tmp_path / "word.txt").write_text("01" * 4 + "\n")
         assert main(argv + ["--out", "out"]) == 1
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
