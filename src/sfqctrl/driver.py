@@ -11,6 +11,7 @@ counts and collect the best objective values per duration.
 from __future__ import annotations
 
 import itertools
+import numbers
 import os
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -83,12 +84,12 @@ class ExperimentSpec:
             raise ValidationError("gate name or path must be encodable as UTF-8", key="gate") from None
         if not 0.0 < self.rho_hat < 1.0:
             raise ValidationError("acceptance ratio must lie in (0, 1)", key="rho_hat")
-        if self.delta0 is not None and self.delta0 < 1:
-            raise ValidationError("initial radius must be at least 1", key="delta0")
         if self.sweep is not None:
             p_min, p_max, stride = self.sweep
             if p_min < 1 or p_max < p_min or stride < 1:
                 raise ValidationError("sweep grid must satisfy 1 <= p_min <= p_max, stride >= 1", key="sweep")
+        if self.delta0 is not None and not 1 <= self.delta0 <= (self.p if self.sweep is None else self.sweep[0]):
+            raise ValidationError("initial radius must lie in [1, p] (p_min for a sweep)", key="delta0")
 
 
 def _parse_weights(raw: str) -> tuple[float, ...]:
@@ -147,7 +148,10 @@ def spec_from_values(values: dict, output_dir: Path | None = None) -> Experiment
     for key, value in values.items():
         if key not in _CONFIG_SCHEMA:
             raise ValidationError("not a config key", key=key)
-        _, owner, name, unit = _CONFIG_SCHEMA[key]
+        parse, owner, name, unit = _CONFIG_SCHEMA[key]
+        kind = {int: numbers.Integral, float: numbers.Real}.get(parse)
+        if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
+            raise ValidationError(f"expected {parse.__name__}, got {value!r}", key=key)
         fields[owner][name] = value if unit is None else unit * value
     if output_dir is not None:
         fields[ExperimentSpec]["output_dir"] = output_dir
@@ -276,9 +280,7 @@ def run_optimize(spec: ExperimentSpec, props=None) -> OptimizeResult:
     summary.txt into spec.output_dir.
     """
     evaluator = _evaluator(spec, props)
-    result = multi_restart(
-        spec.n_restarts, spec.seed, spec.p, evaluator, delta0=spec.delta0, rho_hat=spec.rho_hat
-    )
+    result = multi_restart(spec.n_restarts, spec.seed, spec.p, evaluator, delta0=spec.delta0, rho_hat=spec.rho_hat)
     best = result.best
 
     out = Path(spec.output_dir)
@@ -317,9 +319,7 @@ def run_sweep(spec: ExperimentSpec, props=None) -> tuple[Path, list[list]]:
 
     rows: list[list] = []
     for p in range(p_min, p_max + 1, stride):
-        result = multi_restart(
-            spec.n_restarts, spec.seed, p, evaluator, delta0=spec.delta0, rho_hat=spec.rho_hat
-        )
+        result = multi_restart(spec.n_restarts, spec.seed, p, evaluator, delta0=spec.delta0, rho_hat=spec.rho_hat)
         best = result.best
         rows.append([p, float(p * spec.system.tau_p), best.j1, best.j2, best.objective])
 

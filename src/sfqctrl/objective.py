@@ -173,7 +173,8 @@ def guard_weight_vector(cfg: SystemConfig) -> np.ndarray:
 
 def leakage(traj: ForwardTrajectory, weights: np.ndarray, n_essential: int) -> float:
     """Trapezoidal average of <U_j P, W U_j P>_F over the snapshots; weights is the diagonal of W."""
-    pops = np.abs(traj.snapshots[:, :, :n_essential]) ** 2
-    terms = np.einsum("jne,n->j", pops, weights)
+    # |z|^2 as re^2 + im^2 on a float view of the essential columns, with no square root.
+    amp = traj.snapshots[:, :, :n_essential].view(np.float64)
+    terms = np.einsum("jnx,jnx->jn", amp, amp) @ weights
     p = terms.size - 1
     return float((0.5 * terms[0] + terms[1:-1].sum() + 0.5 * terms[-1]) / p)

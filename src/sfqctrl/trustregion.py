@@ -130,14 +130,13 @@ def solve_subproblem(alpha_k: PulseSequence, g: np.ndarray, radius: int) -> Puls
     """Minimize g.(a - a_k) over binary a within Hamming distance radius.
 
     Flipping bit j changes the model by g_j (0 -> 1) or -g_j (1 -> 0); the
-    minimizer flips the bits with the most negative gains, at most radius of
-    them, skipping zero gains.  Ties broken by lower index.
+    minimizer stably sorts only the negative gains, kept in index order, and
+    flips at most radius of them, most negative first, ties to the lower index.
     """
     bits = alpha_k.bits
     gains = np.where(bits == 0, g, -g)
-    order = np.argsort(gains, kind="stable")
-    chosen = order[:radius]
-    chosen = chosen[gains[chosen] < 0.0]
+    improving = np.flatnonzero(gains < 0.0)
+    chosen = improving[np.argsort(gains[improving], kind="stable")[:radius]]
     if chosen.size == 0:
         return alpha_k
     new_bits = np.array(bits)
@@ -226,8 +225,8 @@ def optimize(
     delta0 defaults to p.  Accepted iterates have non-increasing objective, so
     the returned sequence is the best one seen.
     """
-    if delta0 is not None and delta0 < 1:
-        raise ValueError("initial trust-region radius must be at least 1")
+    if delta0 is not None and not 1 <= delta0 <= len(alpha0):
+        raise ValueError("initial trust-region radius must lie in [1, p]")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     j, j1, j2, traj = evaluator.objective(alpha0)
@@ -292,26 +291,21 @@ def multi_restart(
     if n_restarts < 1:
         raise ValueError("need at least one restart")
     rng = np.random.default_rng(seed)
-    best: tuple[PulseSequence, OptimizationTrace, int] | None = None
-    best_j = np.inf
-    summaries: list[RestartSummary] = []
-    for i in range(n_restarts):
-        alpha0 = PulseSequence.random(p, rng)
-        alpha, trace = optimize(alpha0, evaluator, delta0=delta0, rho_hat=rho_hat, max_iter=max_iter)
-        last = trace.records[-1]
-        summaries.append(
-            RestartSummary(
-                index=i,
-                objective=last.j,
-                j1=last.j1,
-                j2=last.j2,
-                iterations=len(trace.records),
-                accepted=trace.accepted_count,
-                terminal_reason=trace.terminal_reason,
-            )
+    runs = [
+        optimize(PulseSequence.random(p, rng), evaluator, delta0=delta0, rho_hat=rho_hat, max_iter=max_iter)
+        for _ in range(n_restarts)
+    ]
+    summaries = [
+        RestartSummary(
+            index=i,
+            objective=trace.records[-1].j,
+            j1=trace.records[-1].j1,
+            j2=trace.records[-1].j2,
+            iterations=len(trace.records),
+            accepted=trace.accepted_count,
+            terminal_reason=trace.terminal_reason,
         )
-        if last.j < best_j:
-            best_j = last.j
-            best = (alpha, trace, i)
-    assert best is not None
-    return MultiRestartResult(best_alpha=best[0], best_trace=best[1], best_index=best[2], summaries=summaries)
+        for i, (_, trace) in enumerate(runs)
+    ]
+    best = min(range(n_restarts), key=lambda i: summaries[i].objective)
+    return MultiRestartResult(best_alpha=runs[best][0], best_trace=runs[best][1], best_index=best, summaries=summaries)

@@ -5,8 +5,8 @@ objectives are recomputed from their defining formulas with plain matrix
 products, gradients by central finite differences through integrator
 evaluations at perturbed amplitudes or by the step-by-step backward adjoint
 recursion, the one-step propagators by integrating every substep of the grid,
-the knapsack sub-problem by full Hamming-ball enumeration, and CSV text by
-formatting one value at a time.
+the knapsack sub-problem by full Hamming-ball enumeration or a stable sort of
+all p gains, and CSV text by formatting one value at a time.
 """
 
 from __future__ import annotations
@@ -204,6 +204,19 @@ def enumerate_ball_minimum(bits: np.ndarray, g: np.ndarray, radius: int) -> floa
     dist = np.abs(points - bits[None, :]).sum(axis=1)
     values = (points - bits[None, :]).astype(float) @ g
     return float(values[dist <= radius].min())
+
+
+def full_sort_subproblem(alpha_k: PulseSequence, g: np.ndarray, radius: int) -> PulseSequence:
+    """The knapsack step by a stable argsort of all p gains, then dropping the non-negative ones."""
+    bits = alpha_k.bits
+    gains = np.where(bits == 0, g, -g)
+    chosen = np.argsort(gains, kind="stable")[:radius]
+    chosen = chosen[gains[chosen] < 0.0]
+    if chosen.size == 0:
+        return alpha_k
+    new_bits = np.array(bits)
+    new_bits[chosen] ^= 1
+    return PulseSequence(new_bits)
 
 
 def lattice_gradient(rng: np.random.Generator, p: int) -> np.ndarray:

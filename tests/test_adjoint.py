@@ -134,12 +134,22 @@ class TestStructure:
         }
         np.testing.assert_allclose(gs[a] - gs[0.0], a * (gs[1.0] - gs[0.0]), atol=1e-12)
 
-    def test_kernel_matches_reference_recursion(self, fast_cfg, fast_props, target, rng):
+    @pytest.mark.parametrize(
+        "n, e", [pytest.param(n, e, id=f"N{n}-E{e}") for n in (3, 4, 5) for e in sorted({1, 2, n - 1})]
+    )
+    def test_kernel_matches_reference_recursion(self, n, e):
+        # Every N and E: the kernel reads the guard rows as weights[E:] and
+        # the essential block as the first E columns.
+        rng = np.random.default_rng(10 * n + e)
+        cfg = SystemConfig(n_levels=n, n_essential=e, guard_weights=tuple(np.linspace(0.1, 1.0, n - e)), substeps=400)
+        props = precompute_propagators(cfg)
+        v_e = np.linalg.qr(rng.normal(size=(e, e)) + 1j * rng.normal(size=(e, e)))[0]
+        target = GateTarget.from_essential(v_e, n)
         seq = PulseSequence(rng.integers(0, 2, size=20))
-        traj = propagate(seq, fast_props)
-        w = guard_weight_vector(fast_cfg)
-        f1, f2 = fused_sweep(traj, seq, fast_props, target, w)
-        s1, s2 = adjoint_recursion(traj, seq, fast_props, target, w)
+        traj = propagate(seq, props)
+        w = guard_weight_vector(cfg)
+        f1, f2 = fused_sweep(traj, seq, props, target, w)
+        s1, s2 = adjoint_recursion(traj, seq, props, target, w)
         assert np.abs(f1 - s1).max() <= 1e-13
         assert np.abs(f2 - s2).max() <= 1e-13
 

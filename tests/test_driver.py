@@ -116,6 +116,33 @@ class TestConfigParsing:
         with pytest.raises(ParseError):
             parse_config_text("p = ten\n")
 
+    @pytest.mark.parametrize(
+        "values",
+        [{"p": "16"}, {"p": 16.5}, {"seed": 1.5}, {"n_restarts": True}, {"c1": "0.01"}, {"theta_over_pi": 1j}],
+        ids=["p-str", "p-float", "seed-float", "restarts-bool", "c1-str", "theta-complex"],
+    )
+    def test_library_value_type_rejected(self, values):
+        # parse_config_text and argparse convert the types on the CLI; a library caller's dict is checked here.
+        with pytest.raises(ValidationError) as err:
+            spec_from_values(values)
+        assert err.value.key == next(iter(values))
+
+    def test_library_numpy_and_int_values_accepted(self):
+        spec = spec_from_values({"p": np.int64(16), "seed": np.uint8(3), "c1": 0, "theta_over_pi": np.float64(0.5)})
+        assert (spec.p, spec.seed, spec.system.c1, spec.system.theta) == (16, 3, 0, np.pi * 0.5)
+
+    def test_initial_radius_above_p_rejected(self):
+        system = SystemConfig()
+        assert ExperimentSpec(system=system, p=16, delta0=16).delta0 == 16
+        with pytest.raises(ValidationError) as err:
+            spec_from_values({"p": 16, "delta0": 17})
+        assert err.value.key == "delta0"
+        # A sweep runs its shortest word with the same radius.
+        assert ExperimentSpec(system=system, p=16, delta0=8, sweep=(8, 16, 8)).delta0 == 8
+        with pytest.raises(ValidationError) as err:
+            ExperimentSpec(system=system, p=16, delta0=9, sweep=(8, 16, 8))
+        assert err.value.key == "delta0"
+
     def test_guard_weight_count_mismatch(self):
         with pytest.raises(ValidationError) as err:
             spec_from_values({"guard_weights": (0.1,)})
@@ -515,6 +542,16 @@ class TestCli:
         (tmp_path / "word.txt").write_text("01" * 4 + "\n")
         assert main(argv + ["--out", "out"]) == 1
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv", [["optimize", "--p", "8"], ["sweep", "--p-min", "8", "--p-max", "16"]], ids=["optimize", "sweep"]
+    )
+    def test_initial_radius_above_p_exit_one(self, tmp_path, capsys, argv):
+        cfg = tmp_path / "radius.cfg"
+        cfg.write_text("substeps = 400\np = 24\nn_restarts = 1\ndelta0 = 9\n")
+        assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "delta0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_missing_file_exit_one(self, tmp_path):

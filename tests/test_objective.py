@@ -173,6 +173,15 @@ class TestLeakage:
         expected = (0.5 * terms[0] + terms[1] + 0.5 * terms[2]) / 2
         assert leakage(traj, w, 2) == pytest.approx(expected, rel=1e-12)
 
+    def test_matches_squared_modulus(self, paper_props, paper_cfg):
+        # re^2 + im^2 on the float view against |U|^2 of the complex entries, over all rows and any weights.
+        rng = np.random.default_rng(1601)
+        traj = propagate(PulseSequence.random(1600, rng), paper_props)
+        for w in (guard_weight_vector(paper_cfg), rng.uniform(0.0, 1.0, size=4)):
+            terms = np.einsum("jne,n->j", np.abs(traj.snapshots[:, :, :2]) ** 2, w)
+            expected = (0.5 * terms[0] + terms[1:-1].sum() + 0.5 * terms[-1]) / 1600
+            assert leakage(traj, w, 2) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
     @settings(max_examples=20, deadline=None)
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=30))
     def test_nonnegative(self, fast_props, fast_cfg, bits):

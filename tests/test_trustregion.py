@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import adjoint_recursion, enumerate_ball_minimum, lattice_gradient
+from oracles import adjoint_recursion, enumerate_ball_minimum, full_sort_subproblem, lattice_gradient
 from sfqctrl import trustregion
 from sfqctrl.errors import NonFiniteObjective
 from sfqctrl.model import SystemConfig, precompute_propagators
@@ -76,6 +76,22 @@ class TestSubproblem:
                 out = solve_subproblem(PulseSequence(bits), g, radius)
                 value = float(g @ (out.bits.astype(float) - bits))
                 assert value == enumerate_ball_minimum(bits, g, radius)
+
+    def test_matches_full_sort(self):
+        # Sorting only the negative gains flips the same bits as sorting all
+        # p of them, ties and zero gains (+0.0 and -0.0) included, at every
+        # radius from 0 to p + 1.
+        rng = np.random.default_rng(31)
+        cases = 0
+        for _ in range(150):
+            p = int(rng.integers(1, 40))
+            alpha = PulseSequence(rng.integers(0, 2, size=p))
+            g = rng.integers(-3, 4, size=p) / 2.0
+            for radius in range(p + 2):
+                out = solve_subproblem(alpha, g, radius)
+                assert np.array_equal(out.bits, full_sort_subproblem(alpha, g, radius).bits)
+                cases += 1
+        assert cases >= 3000
 
     def test_sort_cost_near_p_log_p(self):
         rng = np.random.default_rng(5)
@@ -160,6 +176,15 @@ class TestOptimize:
         assert len(trace.records) == 1
         assert trace.terminal_reason is TerminationReason.ZERO_GRADIENT
         assert np.array_equal(alpha.bits, alpha0.bits)
+
+    def test_initial_radius_must_lie_in_one_to_p(self, small_evaluator):
+        # A radius above p could never meet the doubling rule's step == radius.
+        alpha0 = PulseSequence.random(8, np.random.default_rng(8))
+        for delta0 in (0, 9):
+            with pytest.raises(ValueError, match="radius"):
+                optimize(alpha0, small_evaluator, delta0=delta0)
+        _, trace = optimize(alpha0, small_evaluator, delta0=8)
+        assert trace.records[0].delta == 8
 
     def test_accepted_objective_monotone(self, small_evaluator, rng):
         _, trace = optimize(PulseSequence.random(24, rng), small_evaluator)
@@ -249,3 +274,10 @@ class TestMultiRestart:
     def test_best_is_minimum_objective(self, small_evaluator):
         res = multi_restart(4, 11, 16, small_evaluator)
         assert res.best.objective == min(s.objective for s in res.summaries)
+
+    def test_ties_go_to_the_first_restart(self, small_evaluator):
+        # At p = 1 every restart ends on one of two words, so the best J ties exactly.
+        res = multi_restart(6, 3, 1, small_evaluator)
+        objectives = [s.objective for s in res.summaries]
+        assert objectives.count(min(objectives)) > 1
+        assert res.best_index == objectives.index(min(objectives))
