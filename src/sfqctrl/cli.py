@@ -1,15 +1,14 @@
 """Command-line interface.
 
 Subcommands: optimize, sweep, grad-check, simulate (forward run of a stored
-barcode), target-print.  Exit codes: 0 success, 1 config error, 2 numerical
-or I/O failure, 3 threshold failure in check modes.
+barcode), target-print.  Exit codes: 0 success, 1 config error, 2 numerical,
+I/O or out-of-memory failure, 3 threshold failure in check modes.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import driver
@@ -19,10 +18,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
 EXIT_CHECK_FAILED = 3
-
-# Flags that set a config key; each destination is the key's name, and a set
-# flag overrides the config file's value before the spec is validated.
-_FLAG_KEYS = ("seed", "n_restarts", "gate", "p", "theta_over_pi")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,9 +61,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _spec_from_args(args) -> driver.ExperimentSpec:
+    """The run's spec, validated once: config file values, each set flag whose dest is a config key, sweep grid."""
     values = driver.parse_config_text(args.config.read_text()) if args.config else {}
-    values.update((key, getattr(args, key)) for key in _FLAG_KEYS if getattr(args, key) is not None)
-    return driver.spec_from_values(values, output_dir=args.out)
+    values.update((k, v) for k, v in vars(args).items() if k in driver._CONFIG_SCHEMA and v is not None)
+    sweep = None
+    if args.command == "sweep":
+        p_max = args.p_max if args.p_max is not None else values.get("p", driver.ExperimentSpec.p)
+        sweep = (args.p_min, p_max, args.p_stride)
+    return driver.spec_from_values(values, output_dir=args.out, sweep=sweep)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -82,8 +82,6 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
 
         if args.command == "sweep":
-            p_max = args.p_max if args.p_max is not None else spec.p
-            spec = replace(spec, sweep=(args.p_min, p_max, args.p_stride))
             path, rows = driver.run_sweep(spec)
             print(f"wrote {len(rows)} sweep points to {path}")
             return EXIT_OK
@@ -117,7 +115,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, ValidationError, NonUnitaryTarget, FileNotFoundError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (IntegratorDivergence, NonFiniteObjective, OSError) as exc:
+    except (IntegratorDivergence, NonFiniteObjective, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -38,22 +38,13 @@ from .objective import (  # noqa: F401
 )
 from .trustregion import RHO_HAT, MultiRestartResult, ObjectiveEvaluator, multi_restart
 
-GATE_ALIASES = {
-    "h": "H",
-    "x": "X",
-    "y": "Y",
-    "z": "Z",
-    "i": "Identity",
-    "id": "Identity",
-    "identity": "Identity",
-}
-
+# Built-in gates by lower-case name; gate_target matches names case-insensitively.
 _BUILTIN_GATES = {
-    "H": np.array([[1, 1], [1, -1]]) / np.sqrt(2),
-    "X": np.array([[0, 1], [1, 0]]),
-    "Y": np.array([[0, -1j], [1j, 0]]),
-    "Z": np.array([[1, 0], [0, -1]]),
-    "Identity": np.eye(2),
+    "h": np.array([[1, 1], [1, -1]]) / np.sqrt(2),
+    "x": np.array([[0, 1], [1, 0]]),
+    "y": np.array([[0, -1j], [1j, 0]]),
+    "z": np.array([[1, 0], [0, -1]]),
+    **dict.fromkeys(("i", "id", "identity"), np.eye(2)),
 }
 
 @dataclass(frozen=True)
@@ -142,8 +133,8 @@ def parse_config_text(text: str) -> dict:
     return values
 
 
-def spec_from_values(values: dict, output_dir: Path | None = None) -> ExperimentSpec:
-    """ExperimentSpec from config values: unknown keys raise ValidationError, missing ones keep defaults."""
+def spec_from_values(values: dict, output_dir: Path | None = None, sweep: tuple | None = None) -> ExperimentSpec:
+    """ExperimentSpec from config values and a sweep grid: unknown keys raise ValidationError, others default."""
     fields: dict = {SystemConfig: {}, ExperimentSpec: {}}
     for key, value in values.items():
         if key not in _CONFIG_SCHEMA:
@@ -155,7 +146,7 @@ def spec_from_values(values: dict, output_dir: Path | None = None) -> Experiment
         fields[owner][name] = value if unit is None else unit * value
     if output_dir is not None:
         fields[ExperimentSpec]["output_dir"] = output_dir
-    return ExperimentSpec(system=SystemConfig(**fields[SystemConfig]), **fields[ExperimentSpec])
+    return ExperimentSpec(system=SystemConfig(**fields[SystemConfig]), sweep=sweep, **fields[ExperimentSpec])
 
 
 def load_config(path: str | Path, output_dir: Path | None = None) -> ExperimentSpec:
@@ -181,9 +172,8 @@ def _read_matrix_file(path: Path) -> np.ndarray:
 
 def gate_target(gate: str, n_levels: int) -> GateTarget:
     """Look up a built-in gate by name, or load a custom unitary from a file path."""
-    name = GATE_ALIASES.get(gate.lower(), gate)
-    if name in _BUILTIN_GATES:
-        return GateTarget.from_essential(_BUILTIN_GATES[name], n_levels)
+    if gate.lower() in _BUILTIN_GATES:
+        return GateTarget.from_essential(_BUILTIN_GATES[gate.lower()], n_levels)
     path = Path(gate)
     if not path.is_file():
         raise ValidationError(f"unknown gate '{gate}' and no such file", key="gate")
@@ -270,6 +260,8 @@ def _evaluator(spec: ExperimentSpec, props=None, with_sensitivity: bool = True) 
     target = gate_target(spec.gate, spec.system.n_levels)
     if props is None:
         props = precompute_propagators(spec.system, with_sensitivity=with_sensitivity)
+    elif props.system != spec.system:
+        raise ValidationError("propagators were precomputed for another system config", key="props")
     return ObjectiveEvaluator(props, target, spec.system)
 
 

@@ -152,9 +152,11 @@ class PropagatorSet:
     ``d0``/``d1`` are the unitary pulse-off/pulse-on propagators; ``b0``/``b1``
     are dD(alpha)/dalpha evaluated at alpha = 0 and alpha = 1 (not unitary),
     or None in a forward-only set, which supports propagation but not the
-    gradient.  All arrays are immutable and safe to share across threads.
+    gradient.  ``system`` is the configuration they were built for.  All
+    arrays are immutable and safe to share across threads.
     """
 
+    system: SystemConfig
     d0: np.ndarray
     d1: np.ndarray
     b0: np.ndarray | None = None
@@ -419,4 +421,4 @@ def precompute_propagators(cfg: SystemConfig, with_sensitivity: bool = True) -> 
             f"increase substeps (currently {cfg.substeps})"
         )
     b0 = _sensitivity_at_zero(cfg) if with_sensitivity else None
-    return PropagatorSet(d0=d0, d1=d1, b0=b0, b1=b1)
+    return PropagatorSet(system=cfg, d0=d0, d1=d1, b0=b0, b1=b1)

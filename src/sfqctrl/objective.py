@@ -76,8 +76,9 @@ class GateTarget:
         e = v_e.shape[0]
         if v_e.shape != (e, e) or e < 1 or e > n_levels:
             raise NonUnitaryTarget(f"target must be square with 1 <= E <= N, got shape {v_e.shape}")
-        defect = np.linalg.norm(v_e.conj().T @ v_e - np.eye(e))
-        if defect > 1.0e-12:
+        with np.errstate(invalid="ignore"):  # an inf entry gives NaN products, rejected below
+            defect = np.linalg.norm(v_e.conj().T @ v_e - np.eye(e))
+        if not defect <= 1.0e-12:
             raise NonUnitaryTarget(f"target unitarity defect {defect:.3e} exceeds 1e-12")
         embedded = np.zeros((n_levels, n_levels), dtype=complex)
         embedded[:e, :e] = v_e

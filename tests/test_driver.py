@@ -7,7 +7,7 @@ import pytest
 
 from oracles import csv_text, population_rows_loop
 from sfqctrl import driver
-from sfqctrl.cli import _FLAG_KEYS, main
+from sfqctrl.cli import main
 from sfqctrl.driver import (
     ExperimentSpec,
     fd_gradient,
@@ -165,11 +165,20 @@ class TestGateTargets:
             ("Z", np.array([[1, 0], [0, -1]])),
             ("Identity", np.eye(2)),
             ("h", np.array([[1, 1], [1, -1]]) / np.sqrt(2)),
+            ("x", np.array([[0, 1], [1, 0]])),
+            ("I", np.eye(2)),
+            ("id", np.eye(2)),
+            ("IDENTITY", np.eye(2)),
         ],
     )
     def test_builtin_gates(self, name, expected):
         t = gate_target(name, 4)
-        np.testing.assert_allclose(t.v_essential, expected, atol=1e-15)
+        np.testing.assert_array_equal(t.v_essential, expected)
+
+    def test_builtin_name_wins_over_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "x").write_text("1 0\n0 1\n")
+        np.testing.assert_array_equal(gate_target("x", 4).v_essential, [[0, 1], [1, 0]])
 
     def test_custom_file(self, tmp_path):
         path = tmp_path / "gate.txt"
@@ -186,6 +195,14 @@ class TestGateTargets:
     def test_unknown_gate(self):
         with pytest.raises(ValidationError):
             gate_target("W", 4)
+
+    @pytest.mark.parametrize("entry", ["nan", "inf"])
+    def test_non_finite_file_exit_one(self, tmp_path, capsys, entry):
+        path = tmp_path / f"{entry}.mat"
+        path.write_text(f"{entry} 0\n0 1\n")
+        assert main(["target-print", "--gate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "config error" in captured.err and captured.out == ""
 
     def test_essential_mismatch_rejected(self, fast_props):
         # A 2-level gate under E = 3 would leave level 2 neither matched by J1
@@ -282,6 +299,24 @@ class TestRunOptimize:
             run_optimize(fast_spec(tmp_path, gate="W"))
         assert err.value.key == "gate"
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "spec_keys,props_keys",
+        [
+            ({"theta_over_pi": 1 / 300}, {"theta_over_pi": 1 / 100}),
+            ({"n_levels": 5, "guard_weights": (0.1, 0.5, 1.0)}, {}),
+        ],
+        ids=["theta", "levels"],
+    )
+    def test_props_for_another_system_rejected(self, tmp_path, spec_keys, props_keys):
+        # Propagators of another tip angle would give another J; of another N, a bare reshape error.
+        spec = fast_spec(tmp_path, **spec_keys)
+        props = precompute_propagators(fast_spec(tmp_path, **props_keys).system)
+        for run in (run_optimize, run_grad_check):
+            with pytest.raises(ValidationError) as err:
+                run(spec, props=props)
+            assert err.value.key == "props"
+        assert not any(tmp_path.iterdir())
 
     def test_deterministic_outputs(self, tmp_path):
         spec_a = fast_spec(tmp_path / "a")
@@ -447,7 +482,6 @@ class TestCli:
         assert "gate=X" in out and "p=16" in out
         spec = specs[0]
         assert (spec.gate, spec.p, spec.n_restarts, spec.seed) == ("X", 16, 1, 9)
-        assert set(_FLAG_KEYS) <= set(driver._CONFIG_SCHEMA)
         # The tip-angle flag replaces theta and its derived fields only.
         system = spec.system
         assert system.theta == pytest.approx(0.01 * np.pi)
@@ -470,6 +504,32 @@ class TestCli:
         ])
         assert code == 0
         assert (tmp_path / "sw" / "sweep.csv").exists()
+
+    def test_sweep_delta0_checked_against_p_min(self, tmp_path, capsys, monkeypatch):
+        # delta0 = 20 exceeds the config's p but no swept word's length.
+        cfg = tmp_path / "radius.cfg"
+        cfg.write_text("substeps = 400\np = 16\ndelta0 = 20\nn_restarts = 1\n")
+        built = []
+        post_init = ExperimentSpec.__post_init__
+        monkeypatch.setattr(ExperimentSpec, "__post_init__", lambda spec: built.append(spec) or post_init(spec))
+        code = main(["sweep", "--config", str(cfg), "--p-min", "32", "--p-max", "40", "--out", str(tmp_path / "sw")])
+        assert code == 0, capsys.readouterr().err
+        assert len(built) == 1 and built[0].sweep == (32, 40, 8)
+        lines = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["32", "40"]
+
+    @pytest.mark.parametrize(
+        "config,flags,p_max",
+        [("p = 24\n", [], 24), ("p = 24\n", ["--p", "16"], 16), ("", ["--p", "40"], 40), ("", [], 1600)],
+        ids=["config", "flag-over-config", "flag", "default"],
+    )
+    def test_sweep_grid_ends_at_resolved_p(self, tmp_path, monkeypatch, config, flags, p_max):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(config)
+        specs = []
+        monkeypatch.setattr(driver, "run_sweep", lambda spec: specs.append(spec) or (tmp_path / "sweep.csv", []))
+        assert main(["sweep", "--config", str(cfg), "--p-min", "16", *flags]) == 0
+        assert specs[0].sweep == (16, p_max, 8)
 
     def test_grad_check_exit_zero(self, tmp_path, capsys):
         cfg = self._write_fast_config(tmp_path)
@@ -566,6 +626,15 @@ class TestCli:
         monkeypatch.setattr("sfqctrl.driver.run_optimize", explode)
         cfg = self._write_fast_config(tmp_path)
         assert main(["optimize", "--config", str(cfg)]) == 2
+
+    def test_out_of_memory_exit_two(self, tmp_path, capsys, monkeypatch):
+        def exhaust(spec):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)")
+
+        monkeypatch.setattr("sfqctrl.driver.run_optimize", exhaust)
+        cfg = self._write_fast_config(tmp_path)
+        assert main(["optimize", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: Unable to allocate")
 
     def test_non_finite_objective_exit_two(self, tmp_path, capsys, monkeypatch):
         def nan_snapshots(alpha, props):

@@ -61,6 +61,12 @@ class TestGateTarget:
         with pytest.raises(NonUnitaryTarget):
             GateTarget.from_essential(np.array([[1, 0], [0, 1.0 + 1e-6]]), 4)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0, np.nan), -np.inf])
+    def test_non_finite_entry_rejected(self, entry):
+        # NaN compares False against any bound, so the defect test must be "not <= bound".
+        with pytest.raises(NonUnitaryTarget):
+            GateTarget.from_essential(np.array([[entry, 0], [0, 1]]), 4)
+
 
 class TestPropagate:
     def test_all_zeros_is_drift_power(self, fast_props):
