@@ -255,13 +255,20 @@ def _evaluator(spec: ExperimentSpec, props=None, with_sensitivity: bool = True) 
     """The run's one evaluator; the gate is resolved first, so a bad one fails before the precompute.
 
     with_sensitivity=False precomputes a forward-only set (no B0/B1) when
-    props is None: the evaluator then forms J but not its gradient.
+    props is None: the evaluator then forms J but not its gradient.  With
+    with_sensitivity=True a given props must hold B0 and B1.
     """
     target = gate_target(spec.gate, spec.system.n_levels)
     if props is None:
         props = precompute_propagators(spec.system, with_sensitivity=with_sensitivity)
     elif props.system != spec.system:
         raise ValidationError("propagators were precomputed for another system config", key="props")
+    elif with_sensitivity and props.b0 is None:
+        raise ValidationError(
+            "the propagator set is forward-only (precomputed with with_sensitivity=False); "
+            "this run needs the gradient, hence B0 and B1",
+            key="props",
+        )
     return ObjectiveEvaluator(props, target, spec.system)
 
 

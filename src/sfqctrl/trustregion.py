@@ -6,6 +6,12 @@ cost); the usual actual-vs-predicted reduction ratio then drives acceptance
 and the integer radius update (double on full-radius high-quality steps,
 floor-halve on rejection, terminate when the radius reaches zero or no flip
 improves the model).
+
+The rest of a run is a function of its (word, radius) state: J, J1, J2 and
+the gradient depend on the word alone, and rho_hat and the evaluator are fixed.
+So within one multi_restart call a restart that reaches a state an earlier
+restart visited takes that restart's recorded future, renumbered; nothing is
+shared across calls.
 """
 
 from __future__ import annotations
@@ -219,37 +225,60 @@ def optimize(
     delta0: int | None = None,
     rho_hat: float = RHO_HAT,
     max_iter: int = MAX_ITER,
+    *,
+    visited: dict | None = None,
 ) -> tuple[PulseSequence, OptimizationTrace]:
     """Run trust-region iterations from alpha0 until the radius drops below 1.
 
     delta0 defaults to p.  Accepted iterates have non-increasing objective, so
     the returned sequence is the best one seen.
+
+    visited maps (packed word, radius) states of earlier runs with the same
+    evaluator, word length and rho_hat to (final word, trace, record index).
+    A run that reaches such a state takes that trace's remaining records,
+    renumbered, and its final word and terminal reason, unless that would pass
+    max_iter; a run that ends other than at max_iter adds the states it
+    stepped from, the first visit of a state winning.
     """
     if delta0 is not None and not 1 <= delta0 <= len(alpha0):
         raise ValueError("initial trust-region radius must lie in [1, p]")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    j, j1, j2, traj = evaluator.objective(alpha0)
-    state = TrustRegionState(
-        alpha=alpha0,
-        radius=len(alpha0) if delta0 is None else delta0,
-        objective=j,
-        j1=j1,
-        j2=j2,
-        gradient=evaluator.gradient(alpha0, traj),
-    )
+    if visited is None:
+        visited = {}
+    alpha, radius = alpha0, len(alpha0) if delta0 is None else delta0
+    state = None
     trace = OptimizationTrace()
-    while state.radius >= 1:
-        if state.iteration >= max_iter:
+    stepped_from = []
+    while radius >= 1:
+        key = (np.packbits(alpha.bits).tobytes(), radius)
+        if key in visited:
+            final, earlier, start = visited[key]
+            tail = earlier.records[start:]
+            if len(trace.records) + len(tail) <= max_iter:
+                shift = len(trace.records) - start
+                trace.records.extend(replace(r, iteration=r.iteration + shift) for r in tail)
+                trace.terminal_reason = earlier.terminal_reason
+                alpha = final
+                break
+        if len(trace.records) >= max_iter:
             trace.terminal_reason = TerminationReason.MAX_ITERATIONS
-            break
+            return alpha, trace
+        if state is None:
+            j, j1, j2, traj = evaluator.objective(alpha0)
+            state = TrustRegionState(
+                alpha=alpha0, radius=radius, objective=j, j1=j1, j2=j2, gradient=evaluator.gradient(alpha0, traj)
+            )
+        stepped_from.append(key)
         state, record = tr_step(state, evaluator, rho_hat)
         trace.records.append(record)
-        if state.terminal_reason is not None:
-            trace.terminal_reason = state.terminal_reason
+        trace.terminal_reason = state.terminal_reason
+        alpha, radius = state.alpha, state.radius
     if trace.terminal_reason is None:
         trace.terminal_reason = TerminationReason.RADIUS_EXHAUSTED
-    return state.alpha, trace
+    for i, key in enumerate(stepped_from):
+        visited.setdefault(key, (alpha, trace, i))
+    return alpha, trace
 
 
 @dataclass(frozen=True)
@@ -286,13 +315,21 @@ def multi_restart(
 ) -> MultiRestartResult:
     """Optimize from n_restarts seeded uniform-random initial sequences.
 
-    Returns the smallest-objective run; deterministic for a fixed seed.
+    Returns the smallest-objective run; deterministic for a fixed seed.  The
+    restarts of one call share one visited-state dict: a restart that reaches
+    a (word, radius) state an earlier restart stepped from repeats that
+    restart's future, so it takes the recorded future instead of recomputing
+    it.  The dict lives for this call only.  Each summary keeps the logical
+    counts, spliced iterations included.
     """
     if n_restarts < 1:
         raise ValueError("need at least one restart")
     rng = np.random.default_rng(seed)
+    visited: dict = {}
     runs = [
-        optimize(PulseSequence.random(p, rng), evaluator, delta0=delta0, rho_hat=rho_hat, max_iter=max_iter)
+        optimize(
+            PulseSequence.random(p, rng), evaluator, delta0=delta0, rho_hat=rho_hat, max_iter=max_iter, visited=visited
+        )
         for _ in range(n_restarts)
     ]
     summaries = [

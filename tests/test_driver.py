@@ -318,6 +318,26 @@ class TestRunOptimize:
             assert err.value.key == "props"
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "run",
+        [run_optimize, lambda spec, props: run_sweep(replace(spec, sweep=(8, 16, 8)), props=props), run_grad_check],
+        ids=["optimize", "sweep", "grad_check"],
+    )
+    def test_forward_only_props_rejected_where_a_gradient_is_needed(self, tmp_path, run):
+        spec = fast_spec(tmp_path, p=16)
+        props = precompute_propagators(spec.system, with_sensitivity=False)
+        with pytest.raises(ValidationError, match="forward-only") as err:
+            run(spec, props=props)
+        assert err.value.key == "props"
+        assert not any(tmp_path.iterdir())
+
+    def test_forward_only_props_accepted_by_simulate(self, tmp_path):
+        barcode = tmp_path / "word.txt"
+        barcode.write_text("0110" * 4 + "\n")
+        spec = fast_spec(tmp_path / "sim", p=16)
+        sim = run_simulate(spec, barcode, props=precompute_propagators(spec.system, with_sensitivity=False))
+        assert sim.files["summary"].is_file()
+
     def test_deterministic_outputs(self, tmp_path):
         spec_a = fast_spec(tmp_path / "a")
         spec_b = fast_spec(tmp_path / "b")

@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -281,3 +282,107 @@ class TestMultiRestart:
         objectives = [s.objective for s in res.summaries]
         assert objectives.count(min(objectives)) > 1
         assert res.best_index == objectives.index(min(objectives))
+
+
+@pytest.fixture(scope="module")
+def x_evaluator():
+    # X at theta = pi/100 on 64- to 80-pulse words: most restarts join a state an earlier one
+    # visited, and at 80 pulses they end both radius_exhausted and no_improving_flip.
+    cfg = SystemConfig(substeps=300, theta=np.pi / 100)
+    return ObjectiveEvaluator(precompute_propagators(cfg), GateTarget.from_essential(np.array([[0, 1], [1, 0]]), 4), cfg)
+
+
+def calls_of(monkeypatch, name):
+    """Wrap trustregion.<name>; each call appends (args, result) to the returned list."""
+    calls = []
+    real = getattr(trustregion, name)
+
+    def spy(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(trustregion, name, spy)
+    return calls
+
+
+def renumbered(records, start=0):
+    return [replace(r, iteration=r.iteration - start) for r in records]
+
+
+class TestSharedStates:
+    def test_records_depend_only_on_word_and_radius(self, x_evaluator, monkeypatch):
+        alpha0 = PulseSequence.random(64, np.random.default_rng(2))
+        steps = calls_of(monkeypatch, "tr_step")
+        visited = {}
+        alpha, trace = optimize(alpha0, x_evaluator, visited=visited)
+        monkeypatch.undo()
+        assert len(trace.records) >= 4
+        k = len(trace.records) // 2
+        state = steps[k][0][0]
+        assert state.iteration == k and 1 <= state.radius <= 64
+        tail_alpha, tail = optimize(state.alpha, x_evaluator, delta0=state.radius)
+        assert renumbered(tail.records) == renumbered(trace.records[k:], k)
+        assert tail.terminal_reason is trace.terminal_reason
+        assert np.array_equal(tail_alpha.bits, alpha.bits)
+        # Looked up among the first run's states, the same start splices that tail, renumbered from 0, unevaluated.
+        evals = calls_of(monkeypatch, "propagate")
+        spliced_alpha, spliced = optimize(state.alpha, x_evaluator, delta0=state.radius, visited=visited)
+        assert evals == []
+        assert spliced.records == tail.records and spliced.terminal_reason is tail.terminal_reason
+        assert np.array_equal(spliced_alpha.bits, alpha.bits)
+
+    def test_shared_restarts_equal_plain_optimize_calls(self, x_evaluator, monkeypatch):
+        n, seed, p = 10, 1, 80
+        shared_runs = calls_of(monkeypatch, "optimize")
+        shared_evals = calls_of(monkeypatch, "propagate")
+        res = multi_restart(n, seed, p, x_evaluator)
+        monkeypatch.undo()
+        plain_evals = calls_of(monkeypatch, "propagate")
+        rng = np.random.default_rng(seed)
+        plain_runs = [optimize(PulseSequence.random(p, rng), x_evaluator) for _ in range(n)]
+        assert len(shared_evals) < len(plain_evals)
+        for (_, (alpha, trace)), (ref_alpha, ref_trace), summary in zip(shared_runs, plain_runs, res.summaries, strict=True):
+            assert np.array_equal(alpha.bits, ref_alpha.bits)
+            assert trace.records == ref_trace.records
+            assert trace.terminal_reason is ref_trace.terminal_reason
+            assert (summary.objective, summary.iterations, summary.accepted, summary.terminal_reason) == (
+                ref_trace.records[-1].j,
+                len(ref_trace.records),
+                ref_trace.accepted_count,
+                ref_trace.terminal_reason,
+            )
+
+    def test_splice_that_would_pass_max_iter_runs_normally(self, x_evaluator, monkeypatch):
+        alpha0 = PulseSequence.random(64, np.random.default_rng(2))
+        visited = {}
+        _, full = optimize(alpha0, x_evaluator, visited=visited)
+        n = len(full.records)
+        assert n >= 3
+        evals = calls_of(monkeypatch, "propagate")
+        _, spliced = optimize(alpha0, x_evaluator, max_iter=n, visited=visited)
+        assert evals == [] and spliced.records == full.records
+        capped_alpha, capped = optimize(alpha0, x_evaluator, max_iter=n - 1, visited=visited)
+        assert evals
+        ref_alpha, ref = optimize(alpha0, x_evaluator, max_iter=n - 1)
+        assert capped.records == ref.records
+        assert capped.terminal_reason is TerminationReason.MAX_ITERATIONS
+        assert np.array_equal(capped_alpha.bits, ref_alpha.bits)
+
+    def test_states_are_added_once_a_run_ends_below_max_iter(self, x_evaluator, monkeypatch):
+        alpha0 = PulseSequence.random(64, np.random.default_rng(2))
+        visited = {}
+        _, capped = optimize(alpha0, x_evaluator, max_iter=2, visited=visited)
+        assert capped.terminal_reason is TerminationReason.MAX_ITERATIONS
+        assert visited == {}
+        steps = calls_of(monkeypatch, "tr_step")
+        _, plain = optimize(alpha0, x_evaluator)
+        monkeypatch.undo()
+        n, k = len(plain.records), len(plain.records) // 2
+        state = steps[k][0][0]
+        optimize(state.alpha, x_evaluator, delta0=state.radius, visited=visited)
+        assert len(visited) == n - k
+        # This run steps k times, then splices; the k states it stepped from go in too.
+        _, full = optimize(alpha0, x_evaluator, visited=visited)
+        assert full.records == plain.records
+        assert len(visited) == n
